@@ -26,10 +26,11 @@ use dsk_kernels as kern;
 use dsk_sparse::partition::block_owner;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
-use crate::common::{block_range, Elision, ProblemDims, Sampling};
-use crate::global::GlobalProblem;
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::common::{
+    block_range, csr_coords, export_triplets, import_values, sample, sq_diff, Elision, Sampling,
+};
+use crate::kernel::{CombineSpec, DistKernel, KernelId, TuneBlock};
+use crate::planview::PlanView;
 use crate::staged::StagedProblem;
 
 /// One direction's scatter plan and remapped local matrix.
@@ -50,16 +51,15 @@ struct Plan {
 }
 
 /// Per-rank state of the 1D block-row baseline.
-pub struct Baseline1D {
-    dims: ProblemDims,
-    p: usize,
+pub(crate) struct Baseline1D {
+    view: PlanView,
     /// World communicator (duplicated; owned by the worker so the
     /// [`DistKernel`] surface needs no per-call communicator).
     comm: Comm,
     /// Local block rows of `A` (rows `block(m, p, rank)`).
-    pub a_loc: Mat,
+    a_loc: Mat,
     /// Local block rows of `B` (rows `block(n, p, rank)`).
-    pub b_loc: Mat,
+    b_loc: Mat,
     /// Plan for SpMMA / SDDMM (`S`-oriented: fetches `B` rows).
     plan_a: Plan,
     /// Plan for SpMMB (`Sᵀ`-oriented: fetches `A` rows).
@@ -67,21 +67,15 @@ pub struct Baseline1D {
     /// SDDMM result values, aligned with `plan_a.s_remapped`'s CSR
     /// nonzero order.
     r_vals: Option<Vec<f64>>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`Baseline1D::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl Baseline1D {
-    /// Build this rank's state, including the static scatter plans
-    /// (construction traffic is charged to the `Setup` phase, matching
-    /// PETSc's amortized symbolic factorization).
-    pub fn from_global(comm: &Comm, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, &StagedProblem::ephemeral(prob))
-    }
-
-    /// Build from shared staging (benchmark path).
-    pub fn from_staged(comm: &Comm, staged: &StagedProblem) -> Self {
+    /// Build this rank's state from shared staging, including the static
+    /// scatter plans (construction traffic is charged to the `Setup`
+    /// phase, matching PETSc's amortized symbolic factorization).
+    pub(crate) fn new(comm: &Comm, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let p = comm.size();
         let me = comm.rank();
@@ -95,45 +89,26 @@ impl Baseline1D {
         let st_rows = staged.partition(true, &row_blocks_n, std::slice::from_ref(&(0..m)));
         let st_loc = CsrMatrix::from_coo(&st_rows[me][0]);
 
-        let a_loc = prob.a.rows_block(row_blocks_m[me].clone());
-        let b_loc = prob.b.rows_block(row_blocks_n[me].clone());
-
-        let plan_a = Self::build_plan(comm, &s_loc, n);
-        let plan_b = Self::build_plan(comm, &st_loc, m);
+        let view = PlanView::of(KernelId::Baseline1D, 1, p, prob.dims);
         Baseline1D {
-            dims: prob.dims,
-            p,
+            view,
             comm: comm.dup(),
-            a_loc,
-            b_loc,
-            plan_a,
-            plan_b,
+            a_loc: view.a_layout_of(me).extract(&prob.a),
+            b_loc: view.b_layout_of(me).extract(&prob.b),
+            plan_a: Self::build_plan(comm, &s_loc, n),
+            plan_b: Self::build_plan(comm, &st_loc, m),
             r_vals: None,
             local: kern::LocalPicks::default(),
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on the `S`-oriented remapped
-    /// block when the shape class is new. The baseline has no local
-    /// fused kernel (its fused path is SDDMM then SpMM), so the fused
-    /// pick stays naive. Wall time lands in [`Phase::LocalTuning`]; no
-    /// communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| crate::kernel::baseline_tune_request(op, p, dims, nnz);
-        // The baseline never runs a transpose scatter (SpMMB goes
-        // through the Sᵀ-oriented plan's row-major SpMM), so only the
-        // two ops it actually calls are tuned.
-        let blk = &self.plan_a.s_remapped;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: kern::LocalKernel::Naive,
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
+    /// The block the builder tunes on (the `S`-oriented remapped block)
+    /// and the local ops this kernel runs: SpMMB goes through the
+    /// `Sᵀ`-oriented plan's row-major SpMM, so no transpose scatter,
+    /// and the fused path is SDDMM then SpMM, so no local fused kernel.
+    pub(crate) fn tune_target(&self) -> (TuneBlock<'_>, &'static [kern::LocalOp]) {
+        use kern::LocalOp::*;
+        (TuneBlock::Csr(&self.plan_a.s_remapped), &[Spmm, Sddmm])
     }
 
     /// Exchange the static fetch lists and remap the local block's
@@ -192,23 +167,13 @@ impl Baseline1D {
         }
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    /// 1D layout of an `rows × r` matrix.
-    pub fn layout(rows: usize, r: usize, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(rows, p, g), 0..r)
-    }
-
     /// Execute the per-call scatter: serve my rows to requesters,
     /// receive fetched rows, and stack them under the local operand.
-    fn scatter_operand(&self, comm: &Comm, plan: &Plan, local: &Mat, operand_rows: usize) -> Mat {
+    fn scatter_operand(&self, plan: &Plan, local: &Mat, operand_rows: usize) -> Mat {
+        let comm = &self.comm;
         let _ph = comm.phase(Phase::Propagation);
-        let p = self.p;
-        let me = comm.rank();
-        let my_start = block_range(operand_rows, p, me).start;
+        let p = self.view.p();
+        let my_start = block_range(operand_rows, p, comm.rank()).start;
         let r = local.ncols();
         let mut outgoing: Vec<Vec<f64>> = Vec::with_capacity(p);
         for peer in 0..p {
@@ -236,15 +201,15 @@ impl Baseline1D {
     /// array in the plan's CSR order (R-valued SpMM).
     fn spmm_plan_vals(
         &self,
-        comm: &Comm,
         plan: &Plan,
         local: &Mat,
         operand_rows: usize,
         vals: Option<&[f64]>,
     ) -> Mat {
-        let operand = self.scatter_operand(comm, plan, local, operand_rows);
+        let operand = self.scatter_operand(plan, local, operand_rows);
         let s = &plan.s_remapped;
-        let mut out = Mat::zeros(s.nrows(), self.dims.r);
+        let r = self.view.dims.r;
+        let mut out = Mat::zeros(s.nrows(), r);
         let owned;
         let s_ref = match vals {
             Some(v) => {
@@ -255,32 +220,21 @@ impl Baseline1D {
             }
             None => s,
         };
-        comm.compute(kern::spmm_flops(s.nnz(), self.dims.r), || {
+        self.comm.compute(kern::spmm_flops(s.nnz(), r), || {
             self.local.spmm.spmm_csr(&mut out, s_ref, &operand)
         });
         out
     }
 
-    /// Distributed SpMMA: `S·B` in 1D block rows (PETSc `MatMatMult`
-    /// analogue).
-    fn spmm_a_vals(&self, comm: &Comm, operand_b: &Mat, vals: Option<&[f64]>) -> Mat {
-        self.spmm_plan_vals(comm, &self.plan_a, operand_b, self.dims.n, vals)
+    /// Distributed SpMMA `S·B` (PETSc `MatMatMult` analogue) against
+    /// the `B`-side rows `y`; `vals` as in [`Self::spmm_plan_vals`].
+    fn spmm_a_vals(&self, y: &Mat, vals: Option<&[f64]>) -> Mat {
+        self.spmm_plan_vals(&self.plan_a, y, self.view.dims.n, vals)
     }
 
-    /// Distributed SpMMA on the stored operands.
-    pub fn spmm_a_on(&self, comm: &Comm) -> Mat {
-        self.spmm_a_vals(comm, &self.b_loc, None)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` in 1D block rows. `vals` overrides the
-    /// sparse values with a `Sᵀ`-ordered array (R-valued SpMMB).
-    fn spmm_b_vals(&self, comm: &Comm, vals: Option<&[f64]>) -> Mat {
-        self.spmm_plan_vals(comm, &self.plan_b, &self.a_loc, self.dims.m, vals)
-    }
-
-    /// Distributed SpMMB on the stored operands.
-    pub fn spmm_b_on(&self, comm: &Comm) -> Mat {
-        self.spmm_b_vals(comm, None)
+    /// Distributed SpMMB `Sᵀ·A`; `vals` takes a `Sᵀ`-ordered array.
+    fn spmm_b_vals(&self, vals: Option<&[f64]>) -> Mat {
+        self.spmm_plan_vals(&self.plan_b, &self.a_loc, self.view.dims.m, vals)
     }
 
     /// Redistribute the SDDMM result from the `S` orientation (values
@@ -292,11 +246,11 @@ impl Baseline1D {
     /// one all-to-all of triplet bundles, so the cost is one message
     /// per peer carrying the paper's three words per nonzero; the
     /// traffic is charged to the propagation phase.
-    fn r_vals_in_b_orientation(&self, comm: &Comm) -> Vec<f64> {
+    fn r_vals_in_b_orientation(&self) -> Vec<f64> {
+        let comm = &self.comm;
         let _ph = comm.phase(Phase::Propagation);
         let r_vals = self.r_vals.as_deref().expect("no SDDMM result");
-        let p = self.p;
-        let (m, n) = (self.dims.m, self.dims.n);
+        let (p, m, n) = (self.view.p(), self.view.dims.m, self.view.dims.n);
         let my_start_m = block_range(m, p, comm.rank()).start as u32;
 
         // Bucket my R nonzeros (global coordinates) by the rank owning
@@ -344,33 +298,28 @@ impl Baseline1D {
         vals
     }
 
-    /// The paper's FusedMM surrogate for the baseline: two back-to-back
-    /// SpMM calls (SDDMM has identical flop and communication
-    /// requirements to SpMM, so this is a fair stand-in).
-    pub fn fused_surrogate(&self, comm: &Comm) -> (Mat, Mat) {
-        (self.spmm_a_on(comm), self.spmm_a_on(comm))
-    }
-
     /// Raw SDDMM accumulations through the `S`-oriented plan: fetch the
     /// needed `B` rows, combine them against the local `A`-side rows
     /// `x`. Values are aligned with `plan_a.s_remapped`'s CSR order; no
     /// sampling applied.
-    fn dots_a(&self, comm: &Comm, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
-        let operand = self.scatter_operand(comm, &self.plan_a, &self.b_loc, self.dims.n);
+    fn dots_a(&self, x: &Mat, combine: &CombineSpec) -> Vec<f64> {
+        let (n, r) = (self.view.dims.n, self.view.dims.r);
+        let operand = self.scatter_operand(&self.plan_a, &self.b_loc, n);
         let s = &self.plan_a.s_remapped;
         let mut acc = vec![0.0; s.nnz()];
-        comm.compute(kern::sddmm_flops(s.nnz(), self.dims.r), || {
+        self.comm.compute(kern::sddmm_flops(s.nnz(), r), || {
             self.local
                 .sddmm
-                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..self.dims.r))
+                .sddmm_csr(&mut acc, s, x, &operand, combine.for_slice(0..r))
         });
         acc
     }
 
-    fn sample(vals: &mut [f64], sampling_vals: &[f64], sampling: Sampling) {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(vals, sampling_vals);
-        }
+    /// Global `(row, col)` of every stored R value, in `r_vals` order.
+    fn r_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let row0 = self.view.r_bounds_of(self.comm.rank()).0.start;
+        let inv_col = &self.plan_a.inv_col;
+        csr_coords(&self.plan_a.s_remapped).map(move |(i, j)| (row0 + i, inv_col[j] as usize))
     }
 }
 
@@ -379,51 +328,33 @@ impl DistKernel for Baseline1D {
         KernelId::Baseline1D
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    fn supports(&self, elision: Elision) -> bool {
-        elision == Elision::None
+    fn view(&self) -> PlanView {
+        self.view
     }
 
     fn sddmm(&mut self) {
-        let mut vals = {
-            let this = &*self;
-            this.dots_a(&this.comm, &this.a_loc, &CombineSpec::Dot)
-        };
-        Self::sample(&mut vals, self.plan_a.s_remapped.vals(), Sampling::Values);
-        self.r_vals = Some(vals);
+        let vals = self.dots_a(&self.a_loc, &CombineSpec::Dot);
+        self.r_vals = Some(sample(
+            vals,
+            self.plan_a.s_remapped.vals(),
+            Sampling::Values,
+        ));
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        let vals = {
-            let this = &*self;
-            this.dots_a(&this.comm, &this.a_loc, combine)
-        };
-        self.r_vals = Some(vals);
+        self.r_vals = Some(self.dots_a(&self.a_loc, combine));
     }
 
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let this = &*self;
-        if use_r {
-            let r = this.r_vals.as_deref().expect("no SDDMM result");
-            this.spmm_a_vals(&this.comm, &this.b_loc, Some(r))
-        } else {
-            this.spmm_a_on(&this.comm)
-        }
+        let r = use_r.then(|| self.r_vals.as_deref().expect("no SDDMM result"));
+        self.spmm_a_vals(&self.b_loc, r)
     }
 
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let this = &*self;
-        if use_r {
-            // The baseline stores R in the S orientation; Rᵀ·A first
-            // redistributes the values into the Sᵀ orientation.
-            let vals = this.r_vals_in_b_orientation(&this.comm);
-            this.spmm_b_vals(&this.comm, Some(&vals))
-        } else {
-            this.spmm_b_on(&this.comm)
-        }
+        // The baseline stores R in the S orientation; Rᵀ·A first
+        // redistributes the values into the Sᵀ orientation.
+        let vals = use_r.then(|| self.r_vals_in_b_orientation());
+        self.spmm_b_vals(vals.as_deref())
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -431,12 +362,11 @@ impl DistKernel for Baseline1D {
             matches!(elision, Elision::None),
             "the 1D baseline admits no communication elision"
         );
-        let this = &*self;
-        let x = x.unwrap_or(&this.a_loc);
-        let mut vals = this.dots_a(&this.comm, x, &CombineSpec::Dot);
-        Self::sample(&mut vals, this.plan_a.s_remapped.vals(), sampling);
+        let x = x.unwrap_or(&self.a_loc);
+        let vals = self.dots_a(x, &CombineSpec::Dot);
+        let vals = sample(vals, self.plan_a.s_remapped.vals(), sampling);
         // Back-to-back second kernel: pays the scatter again.
-        this.spmm_a_vals(&this.comm, &this.b_loc, Some(&vals))
+        self.spmm_a_vals(&self.b_loc, Some(&vals))
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
@@ -444,27 +374,25 @@ impl DistKernel for Baseline1D {
             matches!(elision, Elision::None),
             "the 1D baseline admits no communication elision"
         );
-        let this = &*self;
-        let y = y.unwrap_or(&this.b_loc);
+        let (m, r) = (self.view.dims.m, self.view.dims.r);
+        let y = y.unwrap_or(&self.b_loc);
         // Transposed orientation: fetch A rows, combine against local
         // B-side rows (the dot product is symmetric).
-        let operand = this.scatter_operand(&this.comm, &this.plan_b, &this.a_loc, this.dims.m);
-        let st = &this.plan_b.s_remapped;
+        let operand = self.scatter_operand(&self.plan_b, &self.a_loc, m);
+        let st = &self.plan_b.s_remapped;
         let mut vals = vec![0.0; st.nnz()];
-        this.comm
-            .compute(kern::sddmm_flops(st.nnz(), this.dims.r), || {
-                kern::sddmm::sddmm_csr_acc_with(&mut vals, st, y, &operand, kern::SddmmCombine::Dot)
-            });
-        Self::sample(&mut vals, st.vals(), sampling);
+        self.comm.compute(kern::sddmm_flops(st.nnz(), r), || {
+            kern::sddmm::sddmm_csr_acc_with(&mut vals, st, y, &operand, kern::SddmmCombine::Dot)
+        });
+        let vals = sample(vals, st.vals(), sampling);
         // Second kernel, fresh scatter: out = Rᵀ·A in B block rows.
-        let operand2 = this.scatter_operand(&this.comm, &this.plan_b, &this.a_loc, this.dims.m);
+        let operand2 = self.scatter_operand(&self.plan_b, &self.a_loc, m);
         let mut st_r = st.clone();
         st_r.set_vals(vals);
-        let mut out = Mat::zeros(st.nrows(), this.dims.r);
-        this.comm
-            .compute(kern::spmm_flops(st.nnz(), this.dims.r), || {
-                kern::spmm_csr_acc(&mut out, &st_r, &operand2)
-            });
+        let mut out = Mat::zeros(st.nrows(), r);
+        self.comm.compute(kern::spmm_flops(st.nnz(), r), || {
+            kern::spmm_csr_acc(&mut out, &st_r, &operand2)
+        });
         out
     }
 
@@ -479,86 +407,37 @@ impl DistKernel for Baseline1D {
         // Block rows are whole on one rank: sums are purely local.
         let r = self.r_vals.as_ref().expect("no R values");
         let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
         let mut sums = vec![0.0; s.nrows()];
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                sums[i] += r[k];
-            }
+        for (k, (i, _)) in csr_coords(s).enumerate() {
+            sums[i] += r[k];
         }
         sums
     }
 
     fn scale_r_rows(&mut self, scale: &[f64]) {
         let r = self.r_vals.as_mut().expect("no R values");
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                r[k] *= scale[i];
-            }
+        for (k, (i, _)) in csr_coords(&self.plan_a.s_remapped).enumerate() {
+            r[k] *= scale[i];
         }
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
         let r = self.r_vals.as_deref().expect("no R values");
-        self.spmm_a_vals(&self.comm, y, Some(r))
+        self.spmm_a_vals(y, Some(r))
     }
 
     fn sq_loss_local(&self) -> f64 {
         let r = self.r_vals.as_ref().expect("no R values");
-        self.plan_a
-            .s_remapped
-            .vals()
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
+        sq_diff(self.plan_a.s_remapped.vals(), r)
     }
 
     fn export_r(&self) -> Option<CooMatrix> {
         let r_vals = self.r_vals.as_ref()?;
-        let (m, n) = (self.dims.m, self.dims.n);
-        let my_start = block_range(m, self.p, self.comm.rank()).start;
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        let indices = s.indices();
-        let mut local = CooMatrix::empty(m, n);
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                let j = self.plan_a.inv_col[indices[k] as usize] as usize;
-                local.push(my_start + i, j, r_vals[k]);
-            }
-        }
-        Some(local)
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // 1D block rows: rank g owns its block row of S at full width.
-        (block_range(self.dims.m, self.p, g), 0..self.dims.n)
+        Some(export_triplets(self.view.dims, self.r_coords(), r_vals))
     }
 
     fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let my_start = block_range(self.dims.m, self.p, self.comm.rank()).start as u32;
-        let s = &self.plan_a.s_remapped;
-        let indptr = s.indptr();
-        let indices = s.indices();
-        let mut vals = vec![0.0; s.nnz()];
-        for i in 0..s.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                let gj = self.plan_a.inv_col[indices[k] as usize];
-                vals[k] = *map
-                    .get(&(my_start + i as u32, gj))
-                    .expect("imported R misses a local pattern nonzero");
-            }
-        }
-        self.r_vals = Some(vals);
+        self.r_vals = Some(import_values(r, self.r_coords()));
     }
 
     fn a_iterate(&self) -> Mat {
@@ -580,120 +459,10 @@ impl DistKernel for Baseline1D {
     }
 
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        let this = &*self;
-        this.spmm_a_on(&this.comm)
+        self.spmm_a(false)
     }
 
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        let this = &*self;
-        this.spmm_b_on(&this.comm)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.m, self.dims.r, self.p)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.n, self.dims.r, self.p)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::layout(self.dims.m, self.dims.r, self.p)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        g as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        g as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
-    use dsk_dense::ops::max_abs_diff;
-    use std::sync::Arc;
-
-    #[test]
-    fn spmm_matches_reference() {
-        for p in [1usize, 2, 5, 8] {
-            let (m, n, r) = (24, 21, 5);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 81));
-            let ea = prob.reference_spmm_a();
-            let eb = prob.reference_spmm_b();
-            let la = Baseline1D::layout(m, r, p);
-            let lb = Baseline1D::layout(n, r, p);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &prob);
-                let ga = worker.spmm_a_on(comm);
-                let gb = worker.spmm_b_on(comm);
-                (
-                    crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                    crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-                )
-            });
-            let (ga, gb) = &out[0].value;
-            assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9, "p={p}");
-            assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9, "p={p}");
-        }
-    }
-
-    #[test]
-    fn traffic_grows_with_processor_count() {
-        // The defining weakness: per-call fetch volume grows with p on
-        // a matrix with scattered columns.
-        let (m, n, r) = (64, 64, 8);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 8, 82));
-        let mut per_rank_words = Vec::new();
-        for p in [2usize, 8] {
-            let pr = Arc::clone(&prob);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &pr);
-                let _ = worker.spmm_a_on(comm);
-            });
-            let max_words = out
-                .iter()
-                .map(|o| o.stats.phase(Phase::Propagation).words_sent)
-                .max()
-                .unwrap();
-            per_rank_words.push(max_words);
-        }
-        assert!(
-            per_rank_words[1] > per_rank_words[0],
-            "fetch volume should grow with p: {per_rank_words:?}"
-        );
-    }
-
-    #[test]
-    fn fused_surrogate_runs_two_spmms() {
-        let (p, m, n, r) = (4, 16, 16, 4);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 83));
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let single: u64 = {
-            let pr = Arc::clone(&prob);
-            let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &pr);
-                let _ = worker.spmm_a_on(comm);
-            });
-            out.iter()
-                .map(|o| o.stats.phase(Phase::Propagation).words_sent)
-                .sum()
-        };
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let double: u64 = {
-            let out = w.run(move |comm| {
-                let worker = Baseline1D::from_global(comm, &prob);
-                let _ = worker.fused_surrogate(comm);
-            });
-            out.iter()
-                .map(|o| o.stats.phase(Phase::Propagation).words_sent)
-                .sum()
-        };
-        assert_eq!(double, 2 * single);
+        self.spmm_b(false)
     }
 }

@@ -5,8 +5,9 @@ use std::cell::Cell;
 use std::ops::Range;
 
 use dsk_comm::trace::{self, ArgVal, TraceKind};
-use dsk_comm::{Comm, Phase, RecvHandle, RowBundle, RowSet, WirePayload};
+use dsk_comm::{Comm, CommPattern, Phase, RecvHandle, RowBundle, RowSet, WirePayload};
 use dsk_dense::Mat;
+use dsk_sparse::{CooMatrix, CsrMatrix};
 
 /// Global problem dimensions: `S: m×n` sparse, `A: m×r`, `B: n×r` dense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,6 +186,92 @@ pub fn union_range(total: usize, parts: usize, first: usize, count: usize) -> Ra
     let a = block_range(total, parts, first);
     let b = block_range(total, parts, first + count - 1);
     a.start..b.end
+}
+
+/// Apply `sampling` to raw SDDMM dots: scale them by the stored values
+/// of `S` ([`Sampling::Values`]) or keep them ([`Sampling::Ones`]).
+pub(crate) fn sample(mut dots: Vec<f64>, s_vals: &[f64], sampling: Sampling) -> Vec<f64> {
+    if sampling == Sampling::Values {
+        dsk_kernels::apply_sampling(&mut dots, s_vals);
+    }
+    dots
+}
+
+/// `Σ (s − d)²` over paired values: the local ALS squared loss of the
+/// sampling values `s` against raw SDDMM accumulations `d`.
+pub(crate) fn sq_diff<'a>(
+    s: impl IntoIterator<Item = &'a f64>,
+    d: impl IntoIterator<Item = &'a f64>,
+) -> f64 {
+    s.into_iter().zip(d).map(|(s, d)| (s - d) * (s - d)).sum()
+}
+
+/// Local `(row, col)` of every nonzero of `s`, in storage order.
+pub(crate) fn csr_coords(s: &CsrMatrix) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let (indptr, indices) = (s.indptr(), s.indices());
+    (0..s.nrows())
+        .flat_map(move |i| (indptr[i]..indptr[i + 1]).map(move |k| (i, indices[k] as usize)))
+}
+
+/// Stored R values as global-coordinate triplets: `coords` yields each
+/// value's global `(row, col)` in storage order.
+pub(crate) fn export_triplets(
+    dims: ProblemDims,
+    coords: impl Iterator<Item = (usize, usize)>,
+    vals: &[f64],
+) -> CooMatrix {
+    let mut out = CooMatrix::empty(dims.m, dims.n);
+    for ((i, j), &v) in coords.zip(vals) {
+        out.push(i, j, v);
+    }
+    out
+}
+
+/// The values `r` holds at the global `coords` (storage order) — the
+/// inverse of [`export_triplets`] after a cross-rank union.
+///
+/// # Panics
+///
+/// Panics when `r` misses one of the coordinates.
+pub(crate) fn import_values(
+    r: &CooMatrix,
+    coords: impl Iterator<Item = (usize, usize)>,
+) -> Vec<f64> {
+    let map = crate::layout::triplet_map(r);
+    coords
+        .map(|(i, j)| {
+            *map.get(&(i as u32, j as u32))
+                .expect("imported R misses a local pattern nonzero")
+        })
+        .collect()
+}
+
+/// The forward set of a pattern-routed **input** tile leaving after
+/// step `t` of a `q`-step ring round: the union of the needs of every
+/// member that still consumes it (`member(t')` consumes it at step
+/// `t'`). Empty on the last hop — the tile has been consumed everywhere.
+pub(crate) fn forward_input(
+    pat: &CommPattern,
+    origin: usize,
+    t: usize,
+    q: usize,
+    member: impl Fn(usize) -> usize,
+) -> RowSet {
+    pat.union_over((t + 1..q).map(member), origin)
+}
+
+/// The forward set of a circulating pattern-routed **accumulator**
+/// leaving after step `t`: the union of every visited writer's rows
+/// (`member(t'')` wrote at step `t''`). Rows outside the union are
+/// exactly zero, so zero-fill reconstruction is lossless; the last hop
+/// carries the whole support back to the owner.
+pub(crate) fn forward_acc(
+    pat: &CommPattern,
+    origin: usize,
+    t: usize,
+    member: impl Fn(usize) -> usize,
+) -> RowSet {
+    pat.union_over((0..=t).map(member), origin)
 }
 
 // ---------------------------------------------------------------------

@@ -26,15 +26,20 @@
 //! `B`-shaped output circulates as an accumulator alongside, completing
 //! the `m`-contraction with no fiber traffic.
 
+use std::sync::Arc;
+
 use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::{repartition_dense, DenseLayout};
+use crate::common::{
+    block_range, export_triplets, forward_acc, forward_input, import_values, sample, sq_diff,
+    AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+};
+use crate::kernel::{CombineSpec, DistKernel, KernelId, TuneBlock};
+use crate::layout::repartition_dense;
+use crate::planview::{PlanView, Side};
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag for traveling sparse blocks (row-ring).
@@ -53,16 +58,19 @@ struct Oriented {
     /// This rank's fiber sub-block of the replicated matrix (the `A`
     /// role).
     x_fiber: Mat,
+    /// Total rows of the oriented sparse matrix (rows of the replicated
+    /// dense matrix) — needed to size the replicated macro row.
+    rows_tot: usize,
     /// Total columns of the oriented sparse matrix (rows of the
     /// traveling dense matrix) — needed to size incoming blocks.
     cols_tot: usize,
 }
 
 /// Per-rank state of the 2.5D dense-replicating algorithm.
-pub struct DenseRepl25 {
+pub(crate) struct DenseRepl25 {
     /// Grid communicators (row ring, column ring, fiber).
-    pub gc: GridComms25,
-    dims: ProblemDims,
+    gc: GridComms25,
+    view: PlanView,
     /// Canonical orientation (replicate `A`, travel `S` and `B`).
     canon: Oriented,
     /// Transposed orientation (replicate `B`, travel `Sᵀ` and `A`).
@@ -74,33 +82,47 @@ pub struct DenseRepl25 {
     route_canon: Option<CommPattern>,
     /// Column-ring pattern for transposed-orientation panel shifts.
     route_trans: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`DenseRepl25::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseRepl25 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`DenseRepl25::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    pub(crate) fn new(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
         let (m, n) = (prob.dims.m, prob.dims.n);
-        let q = grid.q;
-        assert!(m >= q * c && n >= q * c, "matrix sides too small for grid");
-        let canon = Self::orient(&gc, staged, false, &prob.a, &prob.b, m, n, prob.dims.r);
-        let trans = Self::orient(&gc, staged, true, &prob.b, &prob.a, n, m, prob.dims.r);
+        assert!(
+            m >= grid.q * c && n >= grid.q * c,
+            "matrix sides too small for grid"
+        );
+        let view = PlanView::of(
+            KernelId::Family(AlgorithmFamily::DenseRepl25),
+            c,
+            grid.p,
+            prob.dims,
+        );
+        let g = comm.rank();
+        // The pre-skewed home block (u, ((u+v) mod q)·c + w).
+        let sigma0 = (gc.u + gc.v) % grid.q;
+        let orient = |transposed: bool, (xs, x): (Side, &Mat), (ys, y): (Side, &Mat)| {
+            let (rows_tot, cols_tot) = if transposed { (n, m) } else { (m, n) };
+            let grid_s = Self::partition(staged, transposed, grid.q, c);
+            Oriented {
+                s_home: grid_s[gc.u][sigma0 * c + gc.w].clone(),
+                y_home: view.iterate_layout(ys, g).extract(y),
+                x_fiber: view.fiber_layout(xs, g).extract(x),
+                rows_tot,
+                cols_tot,
+            }
+        };
+        let canon = orient(false, (Side::A, &prob.a), (Side::B, &prob.b));
+        let trans = orient(true, (Side::B, &prob.b), (Side::A, &prob.a));
         DenseRepl25 {
             gc,
-            dims: prob.dims,
+            view,
             canon,
             trans,
             r_vals: None,
@@ -110,26 +132,13 @@ impl DenseRepl25 {
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's canonical home
-    /// `S` block when the shape class is new. COO blocks only admit the
-    /// serial naive/blocked pair, and the family has no local fused
-    /// kernel, so the fused pick stays naive. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::DenseRepl25, op, p, c, dims, nnz)
-        };
-        let blk = &self.canon.s_home;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_coo(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_coo(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_coo(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
+    /// The block the builder tunes on (this rank's canonical home `S`
+    /// block) and the local ops this family runs. COO blocks only admit
+    /// the serial naive/blocked pair, and the family has no local fused
+    /// kernel.
+    pub(crate) fn tune_target(&self) -> (TuneBlock<'_>, &'static [kern::LocalOp]) {
+        use kern::LocalOp::*;
+        (TuneBlock::Coo(&self.canon.s_home), &[Spmm, SpmmT, Sddmm])
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -139,16 +148,11 @@ impl DenseRepl25 {
     /// independent of the member's own `v`. `primary[g][jq]` is that
     /// support for the canonical orientation (panels over `n`),
     /// `secondary` for the transposed one (panels over `m`).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
+    pub(crate) fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
         let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
         let q = grid.q;
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let needs_for = |transposed: bool, rows_tot: usize, cols_tot: usize| -> Vec<Vec<RowSet>> {
-            let macro_rows: Vec<_> = (0..q).map(|uu| block_range(rows_tot, q, uu)).collect();
-            let col_blocks: Vec<_> = (0..q * c)
-                .map(|j| block_range(cols_tot, q * c, j))
-                .collect();
-            let grid_s = staged.partition(transposed, &macro_rows, &col_blocks);
+        let needs_for = |transposed: bool| -> Vec<Vec<RowSet>> {
+            let grid_s = Self::partition(staged, transposed, q, c);
             (0..p)
                 .map(|g| {
                     let (u, w) = (grid.row_pos(g), grid.fiber_pos(g));
@@ -162,8 +166,8 @@ impl DenseRepl25 {
                 .collect()
         };
         PlanPatterns {
-            primary: needs_for(false, m, n),
-            secondary: Some(needs_for(true, n, m)),
+            primary: needs_for(false),
+            secondary: Some(needs_for(true)),
         }
     }
 
@@ -171,7 +175,7 @@ impl DenseRepl25 {
     /// need sets over its column ring (charged to
     /// `Phase::PatternExchange`) and keep the patterns for every later
     /// shift.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
+    pub(crate) fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
         let grid = self.gc.grid;
         let g = grid.rank_of(self.gc.u, self.gc.v, self.gc.w);
         self.route_canon = Some(CommPattern::exchange(
@@ -185,65 +189,28 @@ impl DenseRepl25 {
         self.route_trans = Some(CommPattern::exchange(&self.gc.col_ring, sec[g].clone()));
     }
 
-    /// Build one orientation: `s: rows_tot × cols_tot`, `x: rows_tot × r`
-    /// replicated, `y: cols_tot × r` traveling.
-    #[allow(clippy::too_many_arguments)]
-    fn orient(
-        gc: &GridComms25,
+    /// The staged partition of `S` (`Sᵀ` when `transposed`): `q` macro
+    /// rows × `q·c` column blocks.
+    fn partition(
         staged: &StagedProblem,
         transposed: bool,
-        x: &Mat,
-        y: &Mat,
-        rows_tot: usize,
-        cols_tot: usize,
-        r: usize,
-    ) -> Oriented {
-        let (q, c) = (gc.grid.q, gc.grid.c);
-        let (u, v, w) = (gc.u, gc.v, gc.w);
-        let sigma0 = (u + v) % q;
-
-        let macro_rows: Vec<_> = (0..q).map(|uu| block_range(rows_tot, q, uu)).collect();
-        let col_blocks: Vec<_> = (0..q * c)
-            .map(|j| block_range(cols_tot, q * c, j))
-            .collect();
-        let grid_s = staged.partition(transposed, &macro_rows, &col_blocks);
-        let s_home = grid_s[u][sigma0 * c + w].clone();
-
-        let slice = block_range(r, q, v);
-        let y_home = y.block(col_blocks[sigma0 * c + w].clone(), slice.clone());
-
-        // Fiber sub-block of the replicated matrix: the w-th c-way split
-        // of macro row u, restricted to slice v.
-        let mac = &macro_rows[u];
-        let sub = block_range(mac.len(), c, w);
-        let x_fiber = x.block(mac.start + sub.start..mac.start + sub.end, slice);
-        Oriented {
-            s_home,
-            y_home,
-            x_fiber,
-            cols_tot,
-        }
-    }
-
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
+        q: usize,
+        c: usize,
+    ) -> Arc<Vec<Vec<CooMatrix>>> {
+        let d = staged.prob.dims;
+        let (rows, cols) = if transposed { (d.n, d.m) } else { (d.m, d.n) };
+        let macro_rows: Vec<_> = (0..q).map(|uu| block_range(rows, q, uu)).collect();
+        let col_blocks: Vec<_> = (0..q * c).map(|j| block_range(cols, q * c, j)).collect();
+        staged.partition(transposed, &macro_rows, &col_blocks)
     }
 
     fn q(&self) -> usize {
         self.gc.grid.q
     }
 
-    /// Length of this rank's macro row over `m` (canonical replicated
-    /// side).
-    fn macro_rows_canon(&self) -> usize {
-        block_range(self.dims.m, self.q(), self.gc.u).len()
-    }
-
-    /// Length of this rank's macro row over `n` (transposed replicated
-    /// side).
-    fn macro_rows_trans(&self) -> usize {
-        block_range(self.dims.n, self.q(), self.gc.u).len()
+    /// This rank's position in the world communicator.
+    fn me(&self) -> usize {
+        self.gc.grid.rank_of(self.gc.u, self.gc.v, self.gc.w)
     }
 
     /// Row count of the traveling dense block this rank holds at step
@@ -254,54 +221,14 @@ impl DenseRepl25 {
         block_range(o.cols_tot, q * c, sigma * c + w).len()
     }
 
-    /// Layout of the replicated-side fiber sub-blocks for a matrix with
-    /// `rows` rows (the `A` layout in the canonical orientation).
-    pub fn fiber_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let mac = block_range(rows, grid.q, u);
-            let sub = block_range(mac.len(), c, w);
-            DenseLayout::single(
-                mac.start + sub.start..mac.start + sub.end,
-                block_range(r, grid.q, v),
-            )
-        }
-    }
-
-    /// Layout of the traveling-side home blocks for a matrix with
-    /// `rows` rows (the `B` layout in the canonical orientation). Note
-    /// the Cannon pre-skew: rank `(u,v,w)` homes block
-    /// `((u+v) mod q)·c + w`.
-    pub fn travel_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(rows, grid.q * c, sigma0 * c + w),
-                block_range(r, grid.q, v),
-            )
-        }
-    }
-
     /// All-gather the fiber sub-blocks into `T = X[macro u, slice v]`.
-    /// `total_rows` (the macro-row length) is passed explicitly so that
-    /// empty r-slices still yield a correctly-shaped panel.
-    fn replicate(&self, x_fiber: &Mat, total_rows: usize) -> Mat {
+    /// The macro-row length is sized explicitly so that empty r-slices
+    /// still yield a correctly-shaped panel.
+    fn replicate(&self, o: &Oriented) -> Mat {
         let _ph = self.gc.fiber.phase(Phase::Replication);
-        let width = x_fiber.ncols();
-        let parts = self.gc.fiber.allgather(x_fiber.as_slice().to_vec());
+        let total_rows = block_range(o.rows_tot, self.q(), self.gc.u).len();
+        let width = o.x_fiber.ncols();
+        let parts = self.gc.fiber.allgather(o.x_fiber.as_slice().to_vec());
         let mut data = Vec::new();
         for p in parts {
             data.extend_from_slice(&p);
@@ -354,26 +281,13 @@ impl DenseRepl25 {
         got
     }
 
-    /// Forward set for an **input** panel leaving after step `t`: the
-    /// union of the needs of the ring members that still consume it
-    /// (member `(σ − v − t') mod q` consumes panel `σ` at step `t'`).
-    /// Empty on the final, homeward hop.
-    fn forward_input(&self, pat: &CommPattern, t: usize) -> RowSet {
-        let q = self.q();
-        let (u, v) = (self.gc.u, self.gc.v);
-        let sig = (u + v + t) % q;
-        pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - v - tp) % q), sig)
-    }
-
-    /// Forward set for a circulating **accumulator** leaving after step
-    /// `t`: the union of every visited writer's rows. The final hop
-    /// carries the whole support home; rows outside it are exactly
-    /// zero, so zero-fill reconstruction is lossless.
-    fn forward_acc(&self, pat: &CommPattern, t: usize) -> RowSet {
-        let q = self.q();
-        let (u, v) = (self.gc.u, self.gc.v);
-        let sig = (u + v + t) % q;
-        pat.union_over((0..=t).map(|tpp| (sig + 2 * q - v - tpp) % q), sig)
+    /// The `σ`-index of the panel this rank holds at step `t`, and the
+    /// ring member that holds it at step `t'` (member
+    /// `(σ − v − t') mod q`).
+    fn panel_at(&self, t: usize) -> (usize, impl Fn(usize) -> usize) {
+        let (q, v) = (self.q(), self.gc.v);
+        let sig = (self.gc.u + v + t) % q;
+        (sig, move |tp| (sig + 2 * q - v - tp) % q)
     }
 
     /// SDDMM travel round: the sparse block accumulates slice-partial
@@ -388,7 +302,7 @@ impl DenseRepl25 {
         route: Option<&CommPattern>,
     ) -> Vec<f64> {
         let q = self.q();
-        let slice = block_range(self.dims.r, q, self.gc.v);
+        let slice = block_range(self.view.dims.r, q, self.gc.v);
         let mut blk = o.s_home.clone();
         blk.vals.fill(0.0);
         let mut y = y0.clone();
@@ -398,7 +312,10 @@ impl DenseRepl25 {
             // The panel is an input lane: post its next hop before the
             // compute so the transfer hides behind it. The sparse block
             // accumulates this step's combines, so it exchanges after.
-            let ship = route.map(|pat| self.forward_input(pat, t));
+            let ship = route.map(|pat| {
+                let (sig, member) = self.panel_at(t);
+                forward_input(pat, sig, t, q, member)
+            });
             let fly_y = pipe_y.begin_mat(&y, ship.as_ref());
             let mut vals = std::mem::take(&mut blk.vals);
             let com = combine.for_slice(slice.clone());
@@ -416,17 +333,12 @@ impl DenseRepl25 {
     }
 
     /// SpMM travel round with a replicated accumulator (`T += S·y` per
-    /// step) — the SpMMA data flow; caller reduce-scatters.
-    fn spmm_out_round(
-        &self,
-        o: &Oriented,
-        vals: Vec<f64>,
-        y0: &Mat,
-        t_rows: usize,
-        route: Option<&CommPattern>,
-    ) -> Mat {
-        let q = self.q();
+    /// step) — the SpMMA data flow — reduce-scattered back to this
+    /// rank's fiber sub-block.
+    fn spmm_out_round(&self, vals: Vec<f64>, y0: &Mat) -> Mat {
+        let (q, o, route) = (self.q(), &self.canon, self.route_canon.as_ref());
         let width = y0.ncols();
+        let t_rows = block_range(self.view.dims.m, q, self.gc.u).len();
         let mut t_out = Mat::zeros(t_rows, width);
         let mut blk = o.s_home.clone();
         blk.vals = vals;
@@ -438,7 +350,10 @@ impl DenseRepl25 {
             // replicated, not circulating): post both hops up front and
             // overlap the two transfers with the local SpMM.
             let fly_s = pipe_s.begin(&blk);
-            let ship = route.map(|pat| self.forward_input(pat, t));
+            let ship = route.map(|pat| {
+                let (sig, member) = self.panel_at(t);
+                forward_input(pat, sig, t, q, member)
+            });
             let fly_y = pipe_y.begin_mat(&y, ship.as_ref());
             self.gc
                 .row_ring
@@ -448,7 +363,7 @@ impl DenseRepl25 {
             blk = fly_s.wait();
             y = Self::check_panel(fly_y.wait(), self.y_rows_at(o, t + 1));
         }
-        t_out
+        self.reduce_to_fiber(&t_out)
     }
 
     /// SpMM travel round with a circulating output accumulator (`out +=
@@ -480,7 +395,10 @@ impl DenseRepl25 {
                     self.local.spmm_t.spmm_coo_t(&mut out, &blk, t_buf)
                 });
             blk = fly_s.wait();
-            let ship = route.map(|pat| self.forward_acc(pat, t));
+            let ship = route.map(|pat| {
+                let (sig, member) = self.panel_at(t);
+                forward_acc(pat, sig, t, member)
+            });
             out = Self::check_panel(
                 pipe_y.exchange_mat(out, ship.as_ref()),
                 self.y_rows_at(o, t + 1),
@@ -489,51 +407,32 @@ impl DenseRepl25 {
         out
     }
 
-    fn finalize(home: &CooMatrix, mut vals: Vec<f64>, sampling: Sampling) -> Vec<f64> {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(&mut vals, &home.vals);
-        }
-        vals
-    }
-
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM (replicates `A`, travels `S` and `B`).
-    pub fn sddmm(&mut self) {
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        let dots = self.dots_round(
-            &self.canon,
-            &t_buf,
-            &self.canon.y_home,
-            &CombineSpec::Dot,
-            self.route_canon.as_ref(),
-        );
-        self.r_vals = Some(Self::finalize(&self.canon.s_home, dots, Sampling::Values));
-    }
-
-    /// Distributed SpMMA: `S·B` (or `R·B`), returned in the fiber `A`
-    /// layout.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_for_travel(use_r);
-        let t_rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let t_out = self.spmm_out_round(
-            &self.canon,
-            vals,
-            &self.canon.y_home,
-            t_rows,
-            self.route_canon.as_ref(),
-        );
-        self.reduce_to_fiber(&t_out)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the travel
-    /// `B` layout (pre-skewed home block).
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_for_travel(use_r);
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        self.spmm_shift_acc_round(&self.canon, vals, &t_buf, self.route_canon.as_ref())
+    /// FusedMM in orientation `o`: replicate `o`'s `x`, dots of the
+    /// traveling block against `y0`, then the circulating SpMM —
+    /// reusing the replica under replication reuse, re-replicating
+    /// (and pattern-routing, when planned) without elision.
+    fn fused(
+        &self,
+        o: &Oriented,
+        y0: &Mat,
+        route: Option<&CommPattern>,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let reuse = match elision {
+            Elision::ReplicationReuse => true,
+            Elision::None => false,
+            Elision::LocalKernelFusion => panic!(
+                "local kernel fusion requires co-located full rows; \
+                 unsupported for 2.5D dense replication"
+            ),
+        };
+        let route = if reuse { None } else { route };
+        let t_buf = self.replicate(o);
+        let dots = self.dots_round(o, &t_buf, y0, &CombineSpec::Dot, route);
+        let rvals = sample(dots, &o.s_home.vals, sampling);
+        let t_buf2 = if reuse { t_buf } else { self.replicate(o) };
+        self.spmm_shift_acc_round(o, rvals, &t_buf2, route)
     }
 
     fn vals_for_travel(&self, use_r: bool) -> Vec<f64> {
@@ -546,184 +445,10 @@ impl DenseRepl25 {
         }
     }
 
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (travel `B` layout)
-    /// defaults to the stored `B`; the result is in the same layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y0 = y.unwrap_or(&self.canon.y_home).clone();
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                let dots = self.dots_round(&self.canon, &t_buf, &y0, &CombineSpec::Dot, None);
-                let rvals = Self::finalize(&self.canon.s_home, dots, sampling);
-                self.spmm_shift_acc_round(&self.canon, rvals, &t_buf, None)
-            }
-            Elision::None => {
-                let route = self.route_canon.as_ref();
-                let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                let dots = self.dots_round(&self.canon, &t_buf, &y0, &CombineSpec::Dot, route);
-                let rvals = Self::finalize(&self.canon.s_home, dots, sampling);
-                let t_buf2 = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-                self.spmm_shift_acc_round(&self.canon, rvals, &t_buf2, route)
-            }
-            Elision::LocalKernelFusion => panic!(
-                "local kernel fusion requires co-located full rows; \
-                 unsupported for 2.5D dense replication"
-            ),
-        }
-    }
-
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)` via transposed roles
-    /// (replicate `B`, travel `Sᵀ` and `A`). `x` (travel layout over
-    /// `m`) defaults to the stored `A`; same layout out.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x0 = x.unwrap_or(&self.trans.y_home).clone();
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_buf = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                let dots = self.dots_round(&self.trans, &t_buf, &x0, &CombineSpec::Dot, None);
-                let rvals = Self::finalize(&self.trans.s_home, dots, sampling);
-                self.spmm_shift_acc_round(&self.trans, rvals, &t_buf, None)
-            }
-            Elision::None => {
-                let route = self.route_trans.as_ref();
-                let t_buf = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                let dots = self.dots_round(&self.trans, &t_buf, &x0, &CombineSpec::Dot, route);
-                let rvals = Self::finalize(&self.trans.s_home, dots, sampling);
-                let t_buf2 = self.replicate(&self.trans.x_fiber, self.macro_rows_trans());
-                self.spmm_shift_acc_round(&self.trans, rvals, &t_buf2, route)
-            }
-            Elision::LocalKernelFusion => panic!(
-                "local kernel fusion requires co-located full rows; \
-                 unsupported for 2.5D dense replication"
-            ),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
-
-    /// Generalized SDDMM storing raw accumulations as R values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let t_buf = self.replicate(&self.canon.x_fiber, self.macro_rows_canon());
-        let dots = self.dots_round(
-            &self.canon,
-            &t_buf,
-            &self.canon.y_home,
-            &combine,
-            self.route_canon.as_ref(),
-        );
-        self.r_vals = Some(dots);
-    }
-
-    /// Map every stored R value in place.
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Row sums of R over this rank's macro row (reduced across the
-    /// whole grid row plane; indices local to macro row `u`).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let mut sums = vec![0.0; rows];
-        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
-            sums[i] += r[k];
-        }
-        let _ph = self.gc.row_plane.phase(comm_phase);
-        self.gc.row_plane.allreduce_sum(&mut sums);
-        sums
-    }
-
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
-            r[k] *= scale[i];
-        }
-    }
-
-    /// SpMMA using the stored R values against an explicit travel-layout
-    /// operand (GAT: `S'·(H·W)`), returned in the fiber `A` layout.
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.r_vals.clone().expect("no R values");
-        let t_rows = block_range(self.dims.m, self.q(), self.gc.u).len();
-        let t_out = self.spmm_out_round(&self.canon, vals, y, t_rows, self.route_canon.as_ref());
-        self.reduce_to_fiber(&t_out)
-    }
-
-    /// The stored `A` in the travel layout over `m` (the FusedMMA
-    /// iterate layout).
-    pub fn a_travel(&self) -> &Mat {
-        &self.trans.y_home
-    }
-
-    /// The stored `B` in the travel layout over `n` (the FusedMMB
-    /// iterate layout).
-    pub fn b_travel(&self) -> &Mat {
-        &self.canon.y_home
-    }
-
-    /// Replace the stored `A` operand: `fiber` in the fiber layout
-    /// (canonical replicated role), `travel` in the travel layout over
-    /// `m` (transposed traveling role). The [`DistKernel::set_a`]
-    /// implementation derives `fiber` by repartitioning.
-    pub fn set_a_parts(&mut self, fiber: Mat, travel: Mat) {
-        self.canon.x_fiber = fiber;
-        self.trans.y_home = travel;
-    }
-
-    /// Replace the stored `B` operand: `fiber` in the fiber layout over
-    /// `n` (transposed replicated role), `travel` in the travel layout
-    /// over `n` (canonical traveling role).
-    pub fn set_b_parts(&mut self, fiber: Mat, travel: Mat) {
-        self.trans.x_fiber = fiber;
-        self.canon.y_home = travel;
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`DenseRepl25::sddmm_general`] (ALS squared loss).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        self.canon
-            .s_home
-            .vals
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates.
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// Global row/column offsets of the canonical home block.
-    fn home_offsets(&self) -> (usize, usize) {
-        let (q, c) = (self.gc.grid.q, self.gc.grid.c);
-        let (u, v, w) = (self.gc.u, self.gc.v, self.gc.w);
-        let sigma0 = (u + v) % q;
-        (
-            block_range(self.dims.m, q, u).start,
-            block_range(self.dims.n, q * c, sigma0 * c + w).start,
-        )
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (row_start, col_start) = self.home_offsets();
-        let mut local = CooMatrix::empty(self.dims.m, self.dims.n);
-        for (k, (i, j, _)) in self.canon.s_home.iter().enumerate() {
-            local.push(row_start + i, col_start + j, r_vals[k]);
-        }
-        Some(local)
+    /// Global `(row, col)` of every stored R value, in `r_vals` order.
+    fn r_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (rows, cols) = self.view.r_bounds_of(self.me());
+        (self.canon.s_home.iter()).map(move |(i, j, _)| (rows.start + i, cols.start + j))
     }
 }
 
@@ -732,306 +457,165 @@ impl DistKernel for DenseRepl25 {
         KernelId::Family(AlgorithmFamily::DenseRepl25)
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::DenseRepl25.supports(elision)
-    }
-
+    /// Distributed SDDMM (replicates `A`, travels `S` and `B`).
     fn sddmm(&mut self) {
-        DenseRepl25::sddmm(self);
+        self.sddmm_general(&CombineSpec::Dot);
+        let dots = self.r_vals.take().expect("SDDMM stored R");
+        self.r_vals = Some(sample(dots, &self.canon.s_home.vals, Sampling::Values));
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        DenseRepl25::sddmm_general(self, combine.clone());
+        let t_buf = self.replicate(&self.canon);
+        let route = self.route_canon.as_ref();
+        let dots = self.dots_round(&self.canon, &t_buf, &self.canon.y_home, combine, route);
+        self.r_vals = Some(dots);
     }
 
+    /// `S·B` (or `R·B`), returned in the fiber `A` layout.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        DenseRepl25::spmm_a(self, use_r)
+        let vals = self.vals_for_travel(use_r);
+        self.spmm_out_round(vals, &self.canon.y_home)
     }
 
+    /// `Sᵀ·A` (or `Rᵀ·A`), returned in the travel `B` layout
+    /// (pre-skewed home block).
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        DenseRepl25::spmm_b(self, use_r)
+        let vals = self.vals_for_travel(use_r);
+        let t_buf = self.replicate(&self.canon);
+        self.spmm_shift_acc_round(&self.canon, vals, &t_buf, self.route_canon.as_ref())
     }
 
+    /// FusedMMA via transposed roles (replicate `B`, travel `Sᵀ` and
+    /// `A`); `x` and the result are in the travel layout over `m`.
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseRepl25::fused_mm_a(self, x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseRepl25::fused_mm_b(self, y, elision, sampling)
-    }
-
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        DenseRepl25::map_r(self, f);
-    }
-
-    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        DenseRepl25::r_row_sums(self, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        DenseRepl25::scale_r_rows(self, scale);
-    }
-
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        DenseRepl25::spmm_a_with(self, y)
-    }
-
-    fn sq_loss_local(&self) -> f64 {
-        DenseRepl25::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        DenseRepl25::gather_r(self, comm)
-    }
-
-    fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g's canonical home block: macro row u, column block
-        // σ₀·c + w of the q·c-way split (σ₀ = (u+v) mod q).
-        let grid = self.gc.grid;
-        let (q, c) = (grid.q, grid.c);
-        let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-        let sigma0 = (u + v) % q;
-        (
-            block_range(self.dims.m, q, u),
-            block_range(self.dims.n, q * c, sigma0 * c + w),
+        let x0 = x.unwrap_or(&self.trans.y_home);
+        self.fused(
+            &self.trans,
+            x0,
+            self.route_trans.as_ref(),
+            elision,
+            sampling,
         )
     }
 
+    /// FusedMMB; `y` and the result are in the travel layout over `n`.
+    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let y0 = y.unwrap_or(&self.canon.y_home);
+        self.fused(
+            &self.canon,
+            y0,
+            self.route_canon.as_ref(),
+            elision,
+            sampling,
+        )
+    }
+
+    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
+        let r = self.r_vals.as_mut().expect("no R values");
+        for v in r.iter_mut() {
+            *v = f(*v);
+        }
+    }
+
+    /// Row sums over this rank's macro row (reduced across the whole
+    /// grid row plane; indices local to macro row `u`).
+    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
+        let r = self.r_vals.as_ref().expect("no R values");
+        let rows = block_range(self.view.dims.m, self.q(), self.gc.u).len();
+        let mut sums = vec![0.0; rows];
+        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
+            sums[i] += r[k];
+        }
+        let _ph = self.gc.row_plane.phase(phase);
+        self.gc.row_plane.allreduce_sum(&mut sums);
+        sums
+    }
+
+    fn scale_r_rows(&mut self, scale: &[f64]) {
+        let r = self.r_vals.as_mut().expect("no R values");
+        for (k, (i, _, _)) in self.canon.s_home.iter().enumerate() {
+            r[k] *= scale[i];
+        }
+    }
+
+    fn spmm_a_with(&self, y: &Mat) -> Mat {
+        let vals = self.r_vals.clone().expect("no R values");
+        self.spmm_out_round(vals, y)
+    }
+
+    fn sq_loss_local(&self) -> f64 {
+        sq_diff(
+            &self.canon.s_home.vals,
+            self.r_vals.as_ref().expect("no R values"),
+        )
+    }
+
+    fn export_r(&self) -> Option<CooMatrix> {
+        let r_vals = self.r_vals.as_ref()?;
+        Some(export_triplets(self.view.dims, self.r_coords(), r_vals))
+    }
+
     fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (row_start, col_start) = self.home_offsets();
-        let vals: Vec<f64> = self
-            .canon
-            .s_home
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&((row_start + i) as u32, (col_start + j) as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
+        self.r_vals = Some(import_values(r, self.r_coords()));
     }
 
     fn a_iterate(&self) -> Mat {
-        self.a_travel().clone()
+        self.trans.y_home.clone()
     }
 
     fn b_iterate(&self) -> Mat {
-        self.b_travel().clone()
+        self.canon.y_home.clone()
     }
 
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = {
+        // The canonical replicated role reads A in the fiber layout; the
+        // transposed traveling role keeps the iterate itself.
+        let view = self.view;
+        self.canon.x_fiber = {
             let _ph = comm.phase(Phase::OutsideComm);
             repartition_dense(
                 comm,
                 x,
-                Self::travel_layout(dims.m, dims.r, p, c),
-                Self::fiber_layout(dims.m, dims.r, p, c),
+                |g| view.iterate_layout(Side::A, g),
+                |g| view.fiber_layout(Side::A, g),
             )
         };
-        self.set_a_parts(fiber, x.clone());
+        self.trans.y_home = x.clone();
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = {
+        let view = self.view;
+        self.trans.x_fiber = {
             let _ph = comm.phase(Phase::OutsideComm);
             repartition_dense(
                 comm,
                 y,
-                Self::travel_layout(dims.n, dims.r, p, c),
-                Self::fiber_layout(dims.n, dims.r, p, c),
+                |g| view.iterate_layout(Side::B, g),
+                |g| view.fiber_layout(Side::B, g),
             )
         };
-        self.set_b_parts(fiber, y.clone());
+        self.canon.y_home = y.clone();
     }
 
     fn rhs_a(&mut self, comm: &Comm) -> Mat {
         // The SpMMA output lands in the fiber layout; the iterate lives
         // in the travel layout — pay the distribution shift (Fig. 9).
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let fiber = DenseRepl25::spmm_a(self, false);
+        let view = self.view;
+        let fiber = self.spmm_a(false);
         let _ph = comm.phase(Phase::OutsideComm);
         repartition_dense(
             comm,
             &fiber,
-            Self::fiber_layout(dims.m, dims.r, p, c),
-            Self::travel_layout(dims.m, dims.r, p, c),
+            |g| view.fiber_layout(Side::A, g),
+            |g| view.iterate_layout(Side::A, g),
         )
     }
 
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        DenseRepl25::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::travel_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::travel_layout(self.dims.n, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::fiber_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Travel layouts are shared by the Cannon anti-diagonal
-        // {(u, v): u+v ≡ σ₀ (mod q)} within a layer w.
-        let (q, c) = (self.gc.grid.q, self.gc.grid.c);
-        let (u, v, w) = (g / (q * c), (g / c) % q, g % c);
-        (((u + v) % q) * c + w) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        self.row_group_a(g)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
-    use dsk_dense::ops::max_abs_diff;
-    use std::sync::Arc;
-
-    #[test]
-    fn sddmm_matches_reference() {
-        // (p, c): 4=2²·1, 8=2²·2, 18=3²·2, 16=4²·1
-        for (p, c) in [(4, 1), (8, 2), (18, 2), (16, 1), (16, 4)] {
-            let (m, n, r) = (26, 29, 8);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 61));
-            let expect = prob.reference_sddmm().to_coo().to_dense();
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
-                worker.sddmm();
-                worker.gather_r(comm)
-            });
-            let got = out[0].value.as_ref().unwrap().to_dense();
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-9, "sddmm mismatch p={p} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_b_matches_reference() {
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let (p, c, m, n, r) = (8, 2, 24, 26, 7);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 62));
-            let expect = prob.reference_fused_b();
-            let layout = DenseRepl25::travel_layout(n, r, p, c);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
-                let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
-            });
-            let got = out[0].value.as_ref().unwrap();
-            assert!(
-                max_abs_diff(got, &expect) < 1e-9,
-                "fused_mm_b mismatch elision={elision:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_a_matches_reference() {
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let (p, c, m, n, r) = (18, 2, 30, 24, 9);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 63));
-            let expect = prob.reference_fused_a();
-            let layout = DenseRepl25::travel_layout(m, r, p, c);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &prob);
-                let got = worker.fused_mm_a(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
-            });
-            let got = out[0].value.as_ref().unwrap();
-            assert!(
-                max_abs_diff(got, &expect) < 1e-9,
-                "fused_mm_a mismatch elision={elision:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn spmm_kernels_match_reference() {
-        let (p, c, m, n, r) = (8, 2, 22, 21, 6);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 64));
-        let ea = prob.reference_spmm_a();
-        let eb = prob.reference_spmm_b();
-        let la = DenseRepl25::fiber_layout(m, r, p, c);
-        let lb = DenseRepl25::travel_layout(n, r, p, c);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = DenseRepl25::from_global(comm, c, &prob);
-            let ga = worker.spmm_a(false);
-            let gb = worker.spmm_b(false);
-            (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-            )
-        });
-        let (ga, gb) = &out[0].value;
-        assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9);
-        assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9);
-    }
-
-    #[test]
-    fn reuse_saves_one_fiber_allgather() {
-        let (p, c, m, n, r) = (8, 2, 32, 32, 8);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 65));
-        let mut repl = Vec::new();
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let pr = Arc::clone(&prob);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseRepl25::from_global(comm, c, &pr);
-                let _ = worker.fused_mm_b(None, elision, Sampling::Values);
-            });
-            let total: u64 = out
-                .iter()
-                .map(|o| o.stats.phase(Phase::Replication).words_sent)
-                .sum();
-            repl.push(total);
-        }
-        assert_eq!(repl[0], 2 * repl[1]);
-    }
-
-    #[test]
-    fn propagation_carries_sparse_and_dense() {
-        // FusedMM runs two travel rounds; each step shifts one sparse
-        // block (3 words/nz) and one dense panel.
-        let (p, c, m, n, r) = (16, 4, 32, 32, 8);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 66));
-        let nnz = prob.nnz() as u64;
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = DenseRepl25::from_global(comm, c, &prob);
-            let _ = worker.fused_mm_b(None, Elision::ReplicationReuse, Sampling::Values);
-        });
-        let q = 2; // √(16/4)
-        let total: u64 = out
-            .iter()
-            .map(|o| o.stats.phase(Phase::Propagation).words_sent)
-            .sum();
-        // Sparse: 2 rounds × q steps × 3·nnz total; dense: 2 rounds × q
-        // steps × (n·r) total words across ranks.
-        let expected = 2 * q * 3 * nnz + 2 * q * (n * r) as u64;
-        assert_eq!(total, expected);
+        self.spmm_b(false)
     }
 }

@@ -25,27 +25,29 @@
 //!   fused local SDDMM+SpMM per step (only possible here, where entire
 //!   rows of both dense matrices are co-located).
 
+use std::sync::Arc;
+
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::common::{
-    block_range, union_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline,
+    block_range, csr_coords, export_triplets, forward_acc, forward_input, import_values, sample,
+    sq_diff, union_range, AlgorithmFamily, Elision, Sampling, ShiftPipeline,
 };
-use crate::global::GlobalProblem;
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::kernel::{CombineSpec, DistKernel, KernelId, TuneBlock};
+use crate::planview::PlanView;
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag used for dense block shifts within a layer.
 const TAG_SHIFT: u32 = 100;
 
 /// Per-rank state of the 1.5D dense-shifting algorithm.
-pub struct DenseShift15 {
+pub(crate) struct DenseShift15 {
     /// Grid communicators (layer ring + replication fiber).
-    pub gc: GridComms15,
-    dims: ProblemDims,
+    gc: GridComms15,
+    view: PlanView,
     /// `S` blocks by slot `w` (column block `j = w·c + v` of macro row
     /// `u`), values = sampling values.
     s_blocks: Vec<CsrMatrix>,
@@ -53,91 +55,68 @@ pub struct DenseShift15 {
     /// of `n`), for the transposed-role (FusedMMA) paths.
     st_blocks: Vec<CsrMatrix>,
     /// Local block row `g` of `A`.
-    pub a_loc: Mat,
+    a_loc: Mat,
     /// Local block row `g` of `B`.
-    pub b_loc: Mat,
+    b_loc: Mat,
     /// SDDMM output values per slot (aligned with `s_blocks` nonzero
-    /// order), populated by [`DenseShift15::sddmm`].
+    /// order), populated by [`DistKernel::sddmm`].
     r_vals: Option<Vec<Vec<f64>>>,
     /// Layer-ring communication pattern for pattern-routed propagation
     /// (`None` = dense shifts, the default).
     route: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`DenseShift15::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl DenseShift15 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`DenseShift15::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    pub(crate) fn new(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
         let p = grid.p;
-        let q = grid.layer_size();
-        let (m, n) = (prob.dims.m, prob.dims.n);
-        assert!(m >= p && n >= p, "matrix sides must be at least p");
+        assert!(
+            prob.dims.m >= p && prob.dims.n >= p,
+            "matrix sides must be at least p"
+        );
         let g = comm.rank();
-        let (u, v) = (gc.u, gc.v);
+        // Keep the column blocks ≡ v (mod c) of macro row u.
+        let slots = |transposed| -> Vec<CsrMatrix> {
+            let grid_s = Self::partition(staged, transposed, p, c);
+            (0..grid.layer_size())
+                .map(|w| CsrMatrix::from_coo(&grid_s[gc.u][w * c + gc.v]))
+                .collect()
+        };
+        let (s_blocks, st_blocks) = (slots(false), slots(true));
 
-        // S: macro rows (aligned to unions of A block rows) × p column
-        // blocks; keep column blocks ≡ v (mod c) of macro row u.
-        let macro_rows: Vec<_> = (0..q).map(|uu| union_range(m, p, uu * c, c)).collect();
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let grid_s = staged.partition(false, &macro_rows, &col_blocks);
-        let s_blocks: Vec<CsrMatrix> = (0..q)
-            .map(|w| CsrMatrix::from_coo(&grid_s[u][w * c + v]))
-            .collect();
-
-        let macro_rows_t: Vec<_> = (0..q).map(|uu| union_range(n, p, uu * c, c)).collect();
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let grid_st = staged.partition(true, &macro_rows_t, &col_blocks_t);
-        let st_blocks: Vec<CsrMatrix> = (0..q)
-            .map(|w| CsrMatrix::from_coo(&grid_st[u][w * c + v]))
-            .collect();
-
-        let a_loc = prob.a.rows_block(block_range(m, p, g));
-        let b_loc = prob.b.rows_block(block_range(n, p, g));
+        let view = PlanView::of(
+            KernelId::Family(AlgorithmFamily::DenseShift15),
+            c,
+            p,
+            prob.dims,
+        );
         DenseShift15 {
             gc,
-            dims: prob.dims,
+            view,
             s_blocks,
             st_blocks,
-            a_loc,
-            b_loc,
+            a_loc: view.a_layout_of(g).extract(&prob.a),
+            b_loc: view.b_layout_of(g).extract(&prob.b),
             r_vals: None,
             route: None,
             local: kern::LocalPicks::default(),
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's first stationary
-    /// `S` block when the shape class is new. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting —
-    /// modeled numbers are untouched whatever wins.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::DenseShift15, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_blocks[0];
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_csr(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: tuning.tune_csr(req(kern::LocalOp::Fused), blk),
-        };
+    /// The block the builder tunes on (this rank's first stationary `S`
+    /// block) and the local ops this family runs.
+    pub(crate) fn tune_target(&self) -> (TuneBlock<'_>, &'static [kern::LocalOp]) {
+        use kern::LocalOp::*;
+        (
+            TuneBlock::Csr(&self.s_blocks[0]),
+            &[Spmm, SpmmT, Sddmm, Fused],
+        )
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -145,13 +124,10 @@ impl DenseShift15 {
     /// support of rank `g`'s stationary block paired with the tile
     /// originating at ring position `o` — exactly the rows of that tile
     /// rank `g` reads (inputs) or writes (circulating accumulators).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
+    pub(crate) fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
         let grid = Grid15::new(p, c).expect("invalid 1.5D grid");
         let q = grid.layer_size();
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let macro_rows: Vec<_> = (0..q).map(|uu| union_range(m, p, uu * c, c)).collect();
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let grid_s = staged.partition(false, &macro_rows, &col_blocks);
+        let grid_s = Self::partition(staged, false, p, c);
         let primary = (0..p)
             .map(|g| {
                 let (u, v) = (grid.layer_pos(g), grid.fiber_pos(g));
@@ -169,30 +145,33 @@ impl DenseShift15 {
         }
     }
 
+    /// The staged partition of `S` (`Sᵀ` when `transposed`): `p/c`
+    /// macro rows aligned to unions of `c` dense block rows × `p`
+    /// column blocks.
+    fn partition(
+        staged: &StagedProblem,
+        transposed: bool,
+        p: usize,
+        c: usize,
+    ) -> Arc<Vec<Vec<CooMatrix>>> {
+        let d = staged.prob.dims;
+        let (rows, cols) = if transposed { (d.n, d.m) } else { (d.m, d.n) };
+        let macro_rows: Vec<_> = (0..p / c)
+            .map(|uu| union_range(rows, p, uu * c, c))
+            .collect();
+        let col_blocks: Vec<_> = (0..p).map(|j| block_range(cols, p, j)).collect();
+        staged.partition(transposed, &macro_rows, &col_blocks)
+    }
+
     /// Switch propagation to pattern routing: exchange this rank's need
     /// sets over the layer ring (charged to `Phase::PatternExchange`)
     /// and keep the resulting [`CommPattern`] for every later shift.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
+    pub(crate) fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
         let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
         self.route = Some(CommPattern::exchange(
             &self.gc.layer,
             pats.primary[g].clone(),
         ));
-    }
-
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    /// Layout of `A` on rank `g` (identical for inputs and outputs).
-    pub fn a_layout(dims: ProblemDims, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(dims.m, p, g), 0..dims.r)
-    }
-
-    /// Layout of `B` on rank `g` (identical for inputs and outputs).
-    pub fn b_layout(dims: ProblemDims, p: usize) -> impl Fn(usize) -> DenseLayout {
-        move |g| DenseLayout::single(block_range(dims.n, p, g), 0..dims.r)
     }
 
     fn q(&self) -> usize {
@@ -258,23 +237,10 @@ impl DenseShift15 {
         ShiftPipeline::new(&self.gc.layer, 1, TAG_SHIFT)
     }
 
-    /// The forward set for an **input** tile of origin `o` leaving after
-    /// step `t`: the union of the needs of every consumer it still
-    /// visits (member `(o + t') mod q` consumes it at step `t'`). Empty
-    /// on the last hop — the tile has been consumed everywhere.
-    fn forward_input(&self, pat: &CommPattern, o: usize, t: usize) -> RowSet {
+    /// The ring member that holds the tile of origin `o` at step `t'`.
+    fn holder(&self, o: usize) -> impl Fn(usize) -> usize {
         let q = self.q();
-        pat.union_over((t + 1..q).map(|tp| (o + tp) % q), o)
-    }
-
-    /// The forward set for a circulating **accumulator** of origin `o`
-    /// leaving after step `t`: the union of every visited writer's rows
-    /// (member `(o + t'') mod q` wrote at step `t''`). Rows outside the
-    /// union are exactly zero, so zero-fill reconstruction is lossless;
-    /// the last hop carries the whole support back to the owner.
-    fn forward_acc(&self, pat: &CommPattern, o: usize, t: usize) -> RowSet {
-        let q = self.q();
-        pat.union_over((0..=t).map(|tpp| (o + tpp) % q), o)
+        move |tp| (o + tp) % q
     }
 
     /// The slot (stationary S column-block index) paired with the block
@@ -305,7 +271,7 @@ impl DenseShift15 {
             let w = self.slot(t);
             let blk = &blocks[w];
             debug_assert_eq!(blk.ncols(), y.nrows(), "block/panel misalignment");
-            let ship = route.map(|pat| self.forward_input(pat, w, t));
+            let ship = route.map(|pat| forward_input(pat, w, t, q, self.holder(w)));
             let fly = pipe.begin_mat(&y, ship.as_ref());
             self.gc
                 .layer
@@ -337,7 +303,7 @@ impl DenseShift15 {
             let w = self.slot(t);
             let mut blk = blocks[w].clone();
             blk.set_vals(vals[w].clone());
-            let ship = route.map(|pat| self.forward_input(pat, w, t));
+            let ship = route.map(|pat| forward_input(pat, w, t, q, self.holder(w)));
             let fly = pipe.begin_mat(&y, ship.as_ref());
             self.gc.layer.compute(kern::spmm_flops(blk.nnz(), r), || {
                 self.local.spmm.spmm_csr(&mut t_buf, &blk, &y)
@@ -374,7 +340,7 @@ impl DenseShift15 {
             // Accumulator lane: the block is not final until the local
             // kernel has added its contribution, so the exchange cannot
             // be posted early.
-            let ship = route.map(|pat| self.forward_acc(pat, w, t));
+            let ship = route.map(|pat| forward_acc(pat, w, t, self.holder(w)));
             out = pipe.exchange_mat(out, ship.as_ref());
         }
         out
@@ -407,58 +373,12 @@ impl DenseShift15 {
         t_out
     }
 
-    fn apply_sampling(
-        blocks: &[CsrMatrix],
-        mut acc: Vec<Vec<f64>>,
-        sampling: Sampling,
-    ) -> Vec<Vec<f64>> {
-        if let Sampling::Values = sampling {
-            for (a, b) in acc.iter_mut().zip(blocks) {
-                kern::apply_sampling(a, b.vals());
-            }
-        }
-        acc
-    }
-
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM: replicates `A`, shifts `B`, leaves
-    /// `R = S ∗ (A·Bᵀ)` distributed like `S` (retrievable via
-    /// [`DenseShift15::gather_r`]).
-    pub fn sddmm(&mut self) {
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        let acc = self.sddmm_round(
-            &self.s_blocks,
-            &t_buf,
-            &self.b_loc,
-            kern::SddmmCombine::Dot,
-            self.route.as_ref(),
-        );
-        self.r_vals = Some(Self::apply_sampling(&self.s_blocks, acc, Sampling::Values));
-    }
-
-    /// Distributed SpMMA: `S·B` (or `R·B` when `use_r` and an SDDMM has
-    /// run), returned as this rank's `A`-shaped block row.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.current_vals(use_r);
-        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, &self.b_loc, self.route.as_ref());
-        self.reduce_to_block(self.dims.m, &t_buf)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned as this rank's
-    /// `B`-shaped block row.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.current_vals(use_r);
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        self.spmm_shift_acc_round(
-            &self.s_blocks,
-            &vals,
-            &t_buf,
-            self.b_loc.nrows(),
-            self.route.as_ref(),
-        )
+    /// Sample per-slot raw dots with the given blocks' values.
+    fn sample_slots(blocks: &[CsrMatrix], acc: Vec<Vec<f64>>, sampling: Sampling) -> Vec<Vec<f64>> {
+        acc.into_iter()
+            .zip(blocks)
+            .map(|(a, b)| sample(a, b.vals(), sampling))
+            .collect()
     }
 
     fn current_vals(&self, use_r: bool) -> Vec<Vec<f64>> {
@@ -471,10 +391,76 @@ impl DenseShift15 {
         }
     }
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (defaults to the
-    /// stored `A`) is this rank's `A` block row; the result has the same
-    /// layout.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+    /// Global `(row, col)` of every stored R value, in `r_vals` order.
+    fn r_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (p, c, v, n) = (self.gc.grid.p, self.c(), self.gc.v, self.view.dims.n);
+        let g = self.gc.grid.rank_of(self.gc.u, v);
+        let row0 = self.view.r_bounds_of(g).0.start;
+        self.s_blocks.iter().enumerate().flat_map(move |(w, blk)| {
+            let col0 = block_range(n, p, w * c + v).start;
+            csr_coords(blk).map(move |(i, j)| (row0 + i, col0 + j))
+        })
+    }
+}
+
+impl DistKernel for DenseShift15 {
+    fn id(&self) -> KernelId {
+        KernelId::Family(AlgorithmFamily::DenseShift15)
+    }
+
+    fn view(&self) -> PlanView {
+        self.view
+    }
+
+    /// Distributed SDDMM: replicates `A`, shifts `B`, leaves
+    /// `R = S ∗ (A·Bᵀ)` distributed like `S`.
+    fn sddmm(&mut self) {
+        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
+        let acc = self.sddmm_round(
+            &self.s_blocks,
+            &t_buf,
+            &self.b_loc,
+            kern::SddmmCombine::Dot,
+            self.route.as_ref(),
+        );
+        self.r_vals = Some(Self::sample_slots(&self.s_blocks, acc, Sampling::Values));
+    }
+
+    fn sddmm_general(&mut self, combine: &CombineSpec) {
+        // Full rows are co-located here, so the combine is used at full
+        // width (the slice is the whole r-dimension).
+        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
+        let acc = self.sddmm_round(
+            &self.s_blocks,
+            &t_buf,
+            &self.b_loc,
+            combine.for_slice(0..self.view.dims.r),
+            self.route.as_ref(),
+        );
+        self.r_vals = Some(acc);
+    }
+
+    /// `S·B` (or `R·B`), returned as this rank's `A`-shaped block row.
+    fn spmm_a(&mut self, use_r: bool) -> Mat {
+        let vals = self.current_vals(use_r);
+        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, &self.b_loc, self.route.as_ref());
+        self.reduce_to_block(self.view.dims.m, &t_buf)
+    }
+
+    /// `Sᵀ·A` (or `Rᵀ·A`), returned as this rank's `B`-shaped block row.
+    fn spmm_b(&mut self, use_r: bool) -> Mat {
+        let vals = self.current_vals(use_r);
+        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
+        self.spmm_shift_acc_round(
+            &self.s_blocks,
+            &vals,
+            &t_buf,
+            self.b_loc.nrows(),
+            self.route.as_ref(),
+        )
+    }
+
+    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
         let x = x.unwrap_or(&self.a_loc);
         match elision {
             Elision::None => {
@@ -487,17 +473,17 @@ impl DenseShift15 {
                     kern::SddmmCombine::Dot,
                     self.route.as_ref(),
                 );
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
+                let rvals = Self::sample_slots(&self.s_blocks, acc, sampling);
                 // SpMMA: fresh zero accumulator, shift B again,
                 // reduce-scatter.
                 let t_out =
                     self.spmm_out_round(&self.s_blocks, &rvals, &self.b_loc, self.route.as_ref());
-                self.reduce_to_block(self.dims.m, &t_out)
+                self.reduce_to_block(self.view.dims.m, &t_out)
             }
             Elision::LocalKernelFusion => {
                 let t_in = self.replicate(self.s_blocks[0].nrows(), x);
                 let t_out = self.fused_round(&self.s_blocks, &t_in, &self.b_loc, sampling);
-                self.reduce_to_block(self.dims.m, &t_out)
+                self.reduce_to_block(self.view.dims.m, &t_out)
             }
             Elision::ReplicationReuse => {
                 // Transposed roles: replicate B once; travel Sᵀ for the
@@ -506,16 +492,13 @@ impl DenseShift15 {
                 let t_buf = self.replicate(self.st_blocks[0].nrows(), &self.b_loc);
                 let acc =
                     self.sddmm_round(&self.st_blocks, &t_buf, x, kern::SddmmCombine::Dot, None);
-                let rvals = Self::apply_sampling(&self.st_blocks, acc, sampling);
+                let rvals = Self::sample_slots(&self.st_blocks, acc, sampling);
                 self.spmm_shift_acc_round(&self.st_blocks, &rvals, &t_buf, x.nrows(), None)
             }
         }
     }
 
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (defaults to the
-    /// stored `B`) is this rank's `B` block row; the result has the same
-    /// layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
         let y = y.unwrap_or(&self.b_loc);
         match elision {
             Elision::None => {
@@ -527,7 +510,7 @@ impl DenseShift15 {
                     kern::SddmmCombine::Dot,
                     self.route.as_ref(),
                 );
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
+                let rvals = Self::sample_slots(&self.s_blocks, acc, sampling);
                 // Unoptimized back-to-back: the SpMMB call replicates A
                 // again.
                 let t2 = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
@@ -543,7 +526,7 @@ impl DenseShift15 {
                 let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
                 let acc =
                     self.sddmm_round(&self.s_blocks, &t_buf, y, kern::SddmmCombine::Dot, None);
-                let rvals = Self::apply_sampling(&self.s_blocks, acc, sampling);
+                let rvals = Self::sample_slots(&self.s_blocks, acc, sampling);
                 // Reuse T for the SpMMB.
                 self.spmm_shift_acc_round(&self.s_blocks, &rvals, &t_buf, y.nrows(), None)
             }
@@ -551,215 +534,68 @@ impl DenseShift15 {
                 // Dual of the FusedMMA fused round: roles swapped, Sᵀ.
                 let t_in = self.replicate(self.st_blocks[0].nrows(), y);
                 let t_out = self.fused_round(&self.st_blocks, &t_in, &self.a_loc, sampling);
-                self.reduce_to_block(self.dims.n, &t_out)
+                self.reduce_to_block(self.view.dims.n, &t_out)
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // R-value access (GAT support) and verification
-    // ------------------------------------------------------------------
-
-    /// Run the SDDMM propagation with a generalized combine, storing raw
-    /// (un-sampled) accumulations as the R values.
-    pub fn sddmm_general(&mut self, combine: kern::SddmmCombine<'_>) {
-        let t_buf = self.replicate(self.s_blocks[0].nrows(), &self.a_loc);
-        let acc = self.sddmm_round(
-            &self.s_blocks,
-            &t_buf,
-            &self.b_loc,
-            combine,
-            self.route.as_ref(),
-        );
-        self.r_vals = Some(acc);
-    }
-
-    /// Map every stored R value in place (local).
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
+    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
         let r = self.r_vals.as_mut().expect("no R values");
-        for vs in r.iter_mut() {
-            for v in vs.iter_mut() {
-                *v = f(*v);
-            }
+        for v in r.iter_mut().flatten() {
+            *v = f(*v);
         }
     }
 
-    /// Row sums of R over this rank's macro row (globally reduced along
-    /// the fiber; indices local to macro row `u`).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
+    /// Row sums over this rank's macro row (reduced along the fiber;
+    /// indices local to macro row `u`).
+    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
         let r = self.r_vals.as_ref().expect("no R values");
-        let rows = self.s_blocks[0].nrows();
-        let mut sums = vec![0.0; rows];
+        let mut sums = vec![0.0; self.s_blocks[0].nrows()];
         for (blk, vals) in self.s_blocks.iter().zip(r) {
-            let indptr = blk.indptr();
-            for i in 0..rows {
-                for k in indptr[i]..indptr[i + 1] {
-                    sums[i] += vals[k];
-                }
+            for (k, (i, _)) in csr_coords(blk).enumerate() {
+                sums[i] += vals[k];
             }
         }
-        let _ph = self.gc.fiber.phase(comm_phase);
+        let _ph = self.gc.fiber.phase(phase);
         self.gc.fiber.allreduce_sum(&mut sums);
         sums
     }
 
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
+    fn scale_r_rows(&mut self, scale: &[f64]) {
         let r = self.r_vals.as_mut().expect("no R values");
         for (blk, vals) in self.s_blocks.iter().zip(r.iter_mut()) {
-            let indptr = blk.indptr();
-            for i in 0..blk.nrows() {
-                for k in indptr[i]..indptr[i + 1] {
-                    vals[k] *= scale[i];
-                }
+            for (k, (i, _)) in csr_coords(blk).enumerate() {
+                vals[k] *= scale[i];
             }
         }
-    }
-
-    /// SpMMA using the stored R values against an explicit `B`-layout
-    /// operand (GAT: `S'·(H·W)`).
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.current_vals(true);
-        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, y, self.route.as_ref());
-        self.reduce_to_block(self.dims.m, &t_buf)
-    }
-
-    /// Local contribution to `‖S − dots‖²` where `dots` are the raw
-    /// accumulations of the last [`DenseShift15::sddmm_general`] call —
-    /// the ALS squared loss (sum across ranks covers each nonzero
-    /// once).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let mut acc = 0.0;
-        for (blk, vals) in self.s_blocks.iter().zip(r) {
-            for (s, d) in blk.vals().iter().zip(vals) {
-                acc += (s - d) * (s - d);
-            }
-        }
-        acc
-    }
-
-    /// Gather the distributed SDDMM result to communicator rank 0 in
-    /// global coordinates (verification; statistics paused).
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (p, c, u, v) = (self.gc.grid.p, self.c(), self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let macro_start = union_range(m, p, u * c, c).start;
-        let mut local = CooMatrix::empty(m, n);
-        for (w, (blk, vals)) in self.s_blocks.iter().zip(r_vals).enumerate() {
-            let col_start = block_range(n, p, w * c + v).start;
-            let coo = blk.to_coo();
-            for (k, (i, j, _)) in coo.iter().enumerate() {
-                local.push(macro_start + i, col_start + j, vals[k]);
-            }
-        }
-        Some(local)
-    }
-}
-
-impl DistKernel for DenseShift15 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::DenseShift15)
-    }
-
-    fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::DenseShift15.supports(elision)
-    }
-
-    fn sddmm(&mut self) {
-        DenseShift15::sddmm(self);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        // Full rows are co-located here, so the combine is used at full
-        // width (the slice is the whole r-dimension).
-        DenseShift15::sddmm_general(self, combine.for_slice(0..self.dims.r));
-    }
-
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        DenseShift15::spmm_a(self, use_r)
-    }
-
-    fn spmm_b(&mut self, use_r: bool) -> Mat {
-        DenseShift15::spmm_b(self, use_r)
-    }
-
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseShift15::fused_mm_a(self, x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        DenseShift15::fused_mm_b(self, y, elision, sampling)
-    }
-
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        DenseShift15::map_r(self, f);
-    }
-
-    fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        DenseShift15::r_row_sums(self, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        DenseShift15::scale_r_rows(self, scale);
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        DenseShift15::spmm_a_with(self, y)
+        let vals = self.current_vals(true);
+        let t_buf = self.spmm_out_round(&self.s_blocks, &vals, y, self.route.as_ref());
+        self.reduce_to_block(self.view.dims.m, &t_buf)
     }
 
     fn sq_loss_local(&self) -> f64 {
-        DenseShift15::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        DenseShift15::gather_r(self, comm)
+        let r = self.r_vals.as_ref().expect("no R values");
+        sq_diff(
+            self.s_blocks.iter().flat_map(|b| b.vals()),
+            r.iter().flatten(),
+        )
     }
 
     fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g holds macro row u = g/c of S; its column blocks are
-        // strided across the full width, so the column bound stays
-        // conservative.
-        let (p, c) = (self.gc.grid.p, self.c());
-        let u = self.gc.grid.layer_pos(g);
-        (union_range(self.dims.m, p, u * c, c), 0..self.dims.n)
+        let r_vals = self.r_vals.as_ref()?.concat();
+        Some(export_triplets(self.view.dims, self.r_coords(), &r_vals))
     }
 
     fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (p, c, u, v) = (self.gc.grid.p, self.c(), self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let macro_start = union_range(m, p, u * c, c).start as u32;
-        let mut per_slot = Vec::with_capacity(self.s_blocks.len());
-        for (w, blk) in self.s_blocks.iter().enumerate() {
-            let col_start = block_range(n, p, w * c + v).start as u32;
-            let coo = blk.to_coo();
-            let mut vals = Vec::with_capacity(blk.nnz());
-            for (i, j, _) in coo.iter() {
-                vals.push(
-                    *map.get(&(macro_start + i as u32, col_start + j as u32))
-                        .expect("imported R misses a local pattern nonzero"),
-                );
-            }
-            per_slot.push(vals);
-        }
-        self.r_vals = Some(per_slot);
+        let mut vals = import_values(r, self.r_coords()).into_iter();
+        let per_slot = self
+            .s_blocks
+            .iter()
+            .map(|b| vals.by_ref().take(b.nnz()).collect());
+        self.r_vals = Some(per_slot.collect());
     }
 
     fn a_iterate(&self) -> Mat {
@@ -782,192 +618,10 @@ impl DistKernel for DenseShift15 {
     }
 
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        DenseShift15::spmm_a(self, false)
+        self.spmm_a(false)
     }
 
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        DenseShift15::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::b_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Rows are whole on one rank: every rank is its own group.
-        g as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        g as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
-    use dsk_dense::ops::max_abs_diff;
-    use std::sync::Arc;
-
-    fn check_fused_a(p: usize, c: usize, m: usize, n: usize, r: usize, elision: Elision) {
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 42));
-        let expect = prob.reference_fused_a();
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let layout = DenseShift15::a_layout(prob.dims, p);
-        let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
-            let got = worker.fused_mm_a(None, elision, Sampling::Values);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
-        });
-        let got = out[0].value.as_ref().unwrap();
-        assert!(
-            max_abs_diff(got, &expect) < 1e-9,
-            "fused_mm_a mismatch p={p} c={c} elision={elision:?}"
-        );
-    }
-
-    #[test]
-    fn fused_a_all_elisions_match_reference() {
-        for elision in Elision::ALL {
-            check_fused_a(4, 2, 25, 19, 5, elision);
-            check_fused_a(6, 2, 24, 24, 4, elision);
-            check_fused_a(4, 1, 16, 20, 3, elision);
-            check_fused_a(4, 4, 17, 23, 3, elision);
-        }
-    }
-
-    #[test]
-    fn fused_b_all_elisions_match_reference() {
-        for elision in Elision::ALL {
-            let (p, c, m, n, r) = (6, 3, 22, 26, 4);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 7));
-            let expect = prob.reference_fused_b();
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let layout = DenseShift15::b_layout(prob.dims, p);
-            let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &prob);
-                let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
-            });
-            let got = out[0].value.as_ref().unwrap();
-            assert!(
-                max_abs_diff(got, &expect) < 1e-9,
-                "fused_mm_b mismatch elision={elision:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sddmm_matches_reference() {
-        let (p, c, m, n, r) = (8, 2, 24, 32, 4);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 11));
-        let expect = prob.reference_sddmm().to_coo().to_dense();
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
-            worker.sddmm();
-            worker.gather_r(comm)
-        });
-        let got = out[0].value.as_ref().unwrap().to_dense();
-        for (g, e) in got.iter().zip(&expect) {
-            assert!((g - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn spmm_kernels_match_reference() {
-        let (p, c, m, n, r) = (4, 2, 21, 18, 3);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 13));
-        let ea = prob.reference_spmm_a();
-        let eb = prob.reference_spmm_b();
-        let la = DenseShift15::a_layout(prob.dims, p);
-        let lb = DenseShift15::b_layout(prob.dims, p);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &prob);
-            let ga = worker.spmm_a(false);
-            let gb = worker.spmm_b(false);
-            (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-            )
-        });
-        let (ga, gb) = &out[0].value;
-        assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9);
-        assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9);
-    }
-
-    #[test]
-    fn sampling_ones_ignores_s_values() {
-        // FusedMM with Sampling::Ones must equal the reference on a
-        // problem whose S values are all 1 — even though our S has
-        // random values.
-        let (p, c, m, n, r) = (4, 2, 16, 16, 3);
-        let prob = GlobalProblem::erdos_renyi(m, n, r, 2, 17);
-        let mut ones = prob.clone();
-        ones.s.fill_values(1.0);
-        let expect = ones.reference_fused_a();
-        let proba = Arc::new(prob);
-        let layout = DenseShift15::a_layout(proba.dims, p);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = DenseShift15::from_global(comm, c, &proba);
-            let got = worker.fused_mm_a(None, Elision::LocalKernelFusion, Sampling::Ones);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
-        });
-        assert!(max_abs_diff(out[0].value.as_ref().unwrap(), &expect) < 1e-9);
-    }
-
-    #[test]
-    fn replication_reuse_performs_single_fiber_collective() {
-        // Count replication-phase messages: reuse should perform one
-        // all-gather (c-1 sends per rank), no-elision FusedMMB two.
-        let (p, c, m, n, r) = (8, 4, 32, 32, 4);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 23));
-        for (elision, expected_fiber_msgs) in [
-            (Elision::ReplicationReuse, (c - 1) as u64),
-            (Elision::None, 2 * (c - 1) as u64),
-        ] {
-            let pr = Arc::clone(&prob);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &pr);
-                let _ = worker.fused_mm_b(None, elision, Sampling::Values);
-            });
-            for o in &out {
-                let repl = o.stats.phase(Phase::Replication);
-                assert_eq!(
-                    repl.msgs_sent, expected_fiber_msgs,
-                    "elision={elision:?} rank={}",
-                    o.rank
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lkf_halves_propagation_words() {
-        let (p, c, m, n, r) = (8, 2, 32, 32, 4);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 29));
-        let mut words = Vec::new();
-        for elision in [Elision::None, Elision::LocalKernelFusion] {
-            let pr = Arc::clone(&prob);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = DenseShift15::from_global(comm, c, &pr);
-                let _ = worker.fused_mm_a(None, elision, Sampling::Values);
-            });
-            words.push(out[0].stats.phase(Phase::Propagation).words_sent);
-        }
-        assert_eq!(words[0], 2 * words[1], "LKF must halve propagation volume");
+        self.spmm_b(false)
     }
 }

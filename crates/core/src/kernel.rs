@@ -6,7 +6,13 @@
 //! Before this module existed, each family struct exposed a near-
 //! duplicate but incompatible API and every consumer (`DistWorker`, the
 //! application engines, the benchmark harness) hand-dispatched with
-//! `match` blocks over concrete types. [`DistKernel`] captures the full
+//! `match` blocks over concrete types. The trait first sat on top of
+//! those inherent APIs as a forwarding layer; today each family is a
+//! single crate-private `impl DistKernel` with private round loops, and
+//! everything the families share is provided here: `supports` (from
+//! [`DistKernel::id`]), `gather_r` (over [`DistKernel::export_r`]), and
+//! every layout, pattern-bound and row-group descriptor (from the one
+//! required [`DistKernel::view`]). [`DistKernel`] captures the full
 //! shared surface once:
 //!
 //! | paper section | trait methods |
@@ -16,7 +22,7 @@
 //! | §VI-E generalized SDDMM (GAT logits) | [`DistKernel::sddmm_general`], [`CombineSpec`] |
 //! | §VI-E softmax / ALS loss plumbing | [`DistKernel::map_r`], [`DistKernel::r_row_sums`], [`DistKernel::scale_r_rows`], [`DistKernel::sq_loss_local`] |
 //! | §VI-E convolution (`α·(H·W)`) | [`DistKernel::spmm_a_with`] |
-//! | Table II data distributions | [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
+//! | Table II data distributions | [`DistKernel::view`], [`DistKernel::a_iterate_layout_of`], [`DistKernel::b_iterate_layout_of`], [`DistKernel::spmm_a_with_layout_of`] |
 //! | Fig. 9 distribution shifts | [`DistKernel::set_a`], [`DistKernel::set_b`], [`DistKernel::rhs_a`], [`DistKernel::rhs_b`] |
 //! | Fig. 9 row-sharing dot products | [`DistKernel::row_group_a`], [`DistKernel::row_group_b`] |
 //! | verification | [`DistKernel::gather_r`], [`DistKernel::dims`] |
@@ -73,12 +79,13 @@
 //! through the [`DistKernel::export_r`] / [`DistKernel::import_r`]
 //! pair in global coordinates, so no optimizer state is lost.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dsk_comm::{Comm, MachineModel, Phase};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
-use dsk_sparse::CooMatrix;
+use dsk_sparse::{CooMatrix, CsrMatrix};
 
 use crate::baseline::Baseline1D;
 use crate::common::{AlgorithmFamily, Elision, ProblemDims, Routing, Sampling};
@@ -86,6 +93,7 @@ use crate::dr25::DenseRepl25;
 use crate::ds15::DenseShift15;
 use crate::global::GlobalProblem;
 use crate::layout::DenseLayout;
+use crate::planview::{PlanView, Side};
 use crate::sr25::SparseRepl25;
 use crate::ss15::SparseShift15;
 use crate::staged::StagedProblem;
@@ -152,7 +160,7 @@ impl KernelId {
 /// The full shared surface of the distributed algorithms: one SDDMM /
 /// SpMM / FusedMM engine per rank, with the iterate-layout plumbing the
 /// applications need. Implemented by all four families of the paper's
-/// Figure 2 and by [`Baseline1D`].
+/// Figure 2 and by the 1D baseline ([`KernelId`]).
 ///
 /// # Layout contract
 ///
@@ -176,11 +184,23 @@ pub trait DistKernel: Send {
     /// Which implementation this is.
     fn id(&self) -> KernelId;
 
+    /// The kernel's own plan as a world-free [`PlanView`]: the single
+    /// definition of its data distributions, from which the layout,
+    /// pattern-bound and row-group methods below are provided.
+    fn view(&self) -> PlanView;
+
     /// Global problem dimensions.
-    fn dims(&self) -> ProblemDims;
+    fn dims(&self) -> ProblemDims {
+        self.view().dims
+    }
 
     /// Whether this kernel admits the elision strategy (paper §IV-B).
-    fn supports(&self, elision: Elision) -> bool;
+    fn supports(&self, elision: Elision) -> bool {
+        match self.id() {
+            KernelId::Family(f) => f.supports(elision),
+            KernelId::Baseline1D => elision == Elision::None,
+        }
+    }
 
     /// Distributed SDDMM on the stored operands; the result is held as
     /// the worker's R values.
@@ -236,7 +256,11 @@ pub trait DistKernel: Send {
 
     /// Gather the stored R values to communicator rank 0 in global
     /// coordinates (verification; statistics paused).
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix>;
+    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
+        let local = self.export_r().expect("no SDDMM result");
+        let d = self.dims();
+        crate::layout::gather_coo(comm, 0, local, d.m, d.n)
+    }
 
     /// This rank's share of the stored R values as **global**-coordinate
     /// triplets, or `None` when no SDDMM has populated them (no
@@ -267,7 +291,9 @@ pub trait DistKernel: Send {
     /// bounds to route each exported triplet only to the ranks that
     /// need it — an owner-targeted alltoallv moving `O(c·nnz)` words
     /// instead of the `O(p·nnz)` allgather.
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>);
+    fn r_pattern_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
+        self.view().r_bounds_of(g)
+    }
 
     /// The stored `A` operand in the iterate layout.
     fn a_iterate(&self) -> Mat;
@@ -293,23 +319,33 @@ pub trait DistKernel: Send {
     fn rhs_b(&mut self, comm: &Comm) -> Mat;
 
     /// The `A`-iterate layout of communicator rank `g`.
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout;
+    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().a_layout_of(g)
+    }
 
     /// The `B`-iterate layout of communicator rank `g`.
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout;
+    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().b_layout_of(g)
+    }
 
     /// The layout in which [`DistKernel::spmm_a_with`] returns its
     /// result on rank `g`.
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout;
+    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
+        self.view().spmm_a_with_layout_of(g)
+    }
 
     /// Row-sharing color for `A`-iterates: ranks with equal color hold
     /// pieces of the same iterate rows and must reduce per-row dot
     /// products among themselves. Whole-row kernels color every rank
     /// distinctly (groups of one).
-    fn row_group_a(&self, g: usize) -> u64;
+    fn row_group_a(&self, g: usize) -> u64 {
+        self.view().row_group(Side::A, g)
+    }
 
     /// Row-sharing color for `B`-iterates.
-    fn row_group_b(&self, g: usize) -> u64;
+    fn row_group_b(&self, g: usize) -> u64 {
+        self.view().row_group(Side::B, g)
+    }
 }
 
 /// A resolved construction decision: which kernel, at which replication
@@ -382,14 +418,14 @@ impl PlannedCandidate {
 }
 
 /// The [`kern::TuneRequest`] describing the representative sparse block
-/// a family's local kernels run on at `(p, c)`. Shape estimates only —
+/// a kernel's local ops run on at `(p, c)`. Shape estimates only —
 /// the tuner buckets them into coarse shape classes — but crucially the
 /// **same** function produces the cache keys at build time (when the
-/// family measures on its actual blocks) and at plan time (when the
+/// kernel measures on its actual blocks) and at plan time (when the
 /// world-free scoreboard looks picks up), so the two levels of the plan
 /// always agree on what was tuned.
 pub(crate) fn local_tune_request(
-    family: AlgorithmFamily,
+    id: KernelId,
     op: kern::LocalOp,
     p: usize,
     c: usize,
@@ -399,26 +435,29 @@ pub(crate) fn local_tune_request(
     use kern::SparseFormat;
     let p = p.max(1);
     let c = c.max(1);
-    let (format, rows, block_nnz) = match family {
+    let side = (p / c).max(1).isqrt().max(1);
+    let (format, rows, block_nnz) = match id {
         // 1.5D: a layer of p/c ranks splits S into (p/c)² blocks of
         // m·c/p rows each. Dense-shifting keeps them in CSR (stationary,
         // reused every shift); sparse-shifting ships them as COO.
-        AlgorithmFamily::DenseShift15 => (SparseFormat::Csr, dims.m * c / p, nnz * c * c / (p * p)),
-        AlgorithmFamily::SparseShift15 => {
+        KernelId::Family(AlgorithmFamily::DenseShift15) => {
+            (SparseFormat::Csr, dims.m * c / p, nnz * c * c / (p * p))
+        }
+        KernelId::Family(AlgorithmFamily::SparseShift15) => {
             (SparseFormat::Coo, dims.m * c / p, nnz * c * c / (p * p))
         }
         // 2.5D: a √(p/c) × √(p/c) layer tiles S; each tile has
         // m/√(p/c) rows and nnz·c/p nonzeros. Dense replication moves
         // the tiles (COO); sparse replication keeps the pattern
         // stationary in CSR.
-        AlgorithmFamily::DenseRepl25 => {
-            let side = (p / c).max(1).isqrt().max(1);
+        KernelId::Family(AlgorithmFamily::DenseRepl25) => {
             (SparseFormat::Coo, dims.m / side, nnz * c / p)
         }
-        AlgorithmFamily::SparseRepl25 => {
-            let side = (p / c).max(1).isqrt().max(1);
+        KernelId::Family(AlgorithmFamily::SparseRepl25) => {
             (SparseFormat::Csr, dims.m / side, nnz * c / p)
         }
+        // The 1D baseline: a p-way row split of S kept in CSR.
+        KernelId::Baseline1D => (SparseFormat::Csr, dims.m / p, nnz / p),
     };
     kern::TuneRequest {
         op,
@@ -429,21 +468,40 @@ pub(crate) fn local_tune_request(
     }
 }
 
-/// [`local_tune_request`] for the 1D baseline: a p-way row split of `S`
-/// kept in CSR.
-pub(crate) fn baseline_tune_request(
-    op: kern::LocalOp,
-    p: usize,
-    dims: ProblemDims,
-    nnz: usize,
-) -> kern::TuneRequest {
-    let p = p.max(1);
-    kern::TuneRequest {
-        op,
-        format: kern::SparseFormat::Csr,
-        rows: (dims.m / p).max(1),
-        nnz: nnz / p,
-        r: dims.r,
+/// The representative sparse block a kernel's local ops run on, in the
+/// format the kernel stores it.
+pub(crate) enum TuneBlock<'a> {
+    Csr(&'a CsrMatrix),
+    Coo(&'a CooMatrix),
+}
+
+/// Resolve a kernel's local-kernel variants against the staging's
+/// shared tuning cache, microbenchmarking the `ops` it runs on `block`
+/// when their shape class is new; ops it never runs stay naive. Wall
+/// time lands in [`Phase::LocalTuning`]; no communication, no flop
+/// accounting — modeled numbers are untouched whatever wins.
+fn tune_local(
+    staged: &StagedProblem,
+    comm: &Comm,
+    plan: &KernelPlan,
+    (block, ops): (TuneBlock<'_>, &[kern::LocalOp]),
+) -> kern::LocalPicks {
+    let _t = comm.phase(Phase::LocalTuning);
+    let tuning = staged.local_tuning();
+    let (p, dims, nnz) = (comm.size(), staged.prob.dims, staged.prob.nnz());
+    let pick = |op| {
+        let req = local_tune_request(plan.id, op, p, plan.c, dims, nnz);
+        match block {
+            _ if !ops.contains(&op) => kern::LocalKernel::Naive,
+            TuneBlock::Csr(b) => tuning.tune_csr(req, b),
+            TuneBlock::Coo(b) => tuning.tune_coo(req, b),
+        }
+    };
+    kern::LocalPicks {
+        spmm: pick(kern::LocalOp::Spmm),
+        spmm_t: pick(kern::LocalOp::SpmmT),
+        sddmm: pick(kern::LocalOp::Sddmm),
+        fused: pick(kern::LocalOp::Fused),
     }
 }
 
@@ -752,7 +810,8 @@ impl<'a> KernelBuilder<'a> {
                 // `admits` guarantees the routed model exists.
                 let words = theory::words_for_routing(alg, routing, p, c, dims, nnz).unwrap();
                 let msgs = theory::messages_for_routing(alg, routing, p, c).unwrap();
-                let req = local_tune_request(alg.family, kern::LocalOp::Spmm, p, c, dims, nnz);
+                let id = KernelId::Family(alg.family);
+                let req = local_tune_request(id, kern::LocalOp::Spmm, p, c, dims, nnz);
                 scored.push(PlannedCandidate {
                     algorithm: alg,
                     c,
@@ -789,16 +848,18 @@ impl<'a> KernelBuilder<'a> {
     /// rings — real traffic, charged to `Phase::PatternExchange`.
     pub fn build_planned(&self, comm: &Comm, plan: &KernelPlan) -> DistWorker {
         let staged = self.staged();
+        let (p, c) = (comm.size(), plan.c);
+        // Construct → pattern-route → tune, the one sequencing every
+        // family shares.
         macro_rules! family {
             ($ty:ty, $fam:expr) => {{
-                let mut k = <$ty>::from_staged(comm, plan.c, staged);
+                let mut k = <$ty>::new(comm, c, staged);
                 if plan.routing == Routing::Pattern {
-                    let pats = staged.plan_patterns($fam, comm.size(), plan.c, || {
-                        <$ty>::derive_needs(staged, comm.size(), plan.c)
-                    });
+                    let pats =
+                        staged.plan_patterns($fam, p, c, || <$ty>::derive_needs(staged, p, c));
                     k.enable_pattern_routing(&pats);
                 }
-                k.tune_local(staged, comm, plan.c);
+                k.local = tune_local(staged, comm, plan, k.tune_target());
                 Box::new(k) as Box<dyn DistKernel>
             }};
         }
@@ -821,8 +882,8 @@ impl<'a> KernelBuilder<'a> {
                     Routing::Dense,
                     "the 1D baseline has no shift schedule to pattern-route"
                 );
-                let mut k = Baseline1D::from_staged(comm, staged);
-                k.tune_local(staged, comm);
+                let mut k = Baseline1D::new(comm, staged);
+                k.local = tune_local(staged, comm, plan, k.tune_target());
                 Box::new(k)
             }
         };

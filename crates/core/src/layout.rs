@@ -65,12 +65,11 @@ impl DenseLayout {
     /// Extract this layout's share from a global matrix (test/staging
     /// path; no communication).
     pub fn extract(&self, global: &Mat) -> Mat {
-        let blocks: Vec<Mat> = self
-            .row_ranges
-            .iter()
-            .map(|rr| global.block(rr.clone(), self.col_range.clone()))
-            .collect();
-        Mat::vstack(&blocks)
+        let mut data = Vec::with_capacity(self.local_rows() * self.width());
+        for i in self.row_ranges.iter().flat_map(|rr| rr.clone()) {
+            data.extend_from_slice(&global.row(i)[self.col_range.clone()]);
+        }
+        Mat::from_vec(self.local_rows(), self.width(), data)
     }
 }
 

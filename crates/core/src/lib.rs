@@ -8,28 +8,35 @@
 //!   (B-shaped output),
 //! * **FusedMM** — SDDMM immediately followed by an SpMM on its output,
 //!
-//! in the four algorithm families of the paper's Figure 2 / Table II:
+//! in the four algorithm families of the paper's Figure 2 / Table II,
+//! each a crate-private module holding one `impl DistKernel` (built
+//! through [`kernel::KernelBuilder`], never named outside the crate):
 //!
-//! | module | family | replicates | propagates |
-//! |--------|--------|-----------|------------|
-//! | [`ds15`] | 1.5D dense-shifting  | one dense matrix | the other dense matrix |
-//! | [`ss15`] | 1.5D sparse-shifting | one dense matrix | the sparse matrix |
-//! | [`dr25`] | 2.5D dense-replicating | one dense matrix | sparse + other dense |
-//! | [`sr25`] | 2.5D sparse-replicating | sparse values | both dense matrices |
+//! | module | family | stays put | travels the ring | replicated on the fiber |
+//! |--------|--------|-----------|------------------|-------------------------|
+//! | `ds15` | 1.5D dense-shifting | `S` | one dense matrix | the other dense matrix |
+//! | `ss15` | 1.5D sparse-shifting | one dense matrix | `S` | the other dense matrix |
+//! | `dr25` | 2.5D dense-replicating | — | `S` and one dense matrix | the other dense matrix |
+//! | `sr25` | 2.5D sparse-replicating | the `S` pattern | both dense matrices | `S` values |
 //!
-//! plus the PETSc-like 1D block-row [`baseline`].
+//! plus the PETSc-like 1D block-row `baseline`.
 //!
-//! ## Architecture: one trait, one planner
+//! ## Architecture: one trait, one planner, one plan view
 //!
 //! All five implementations sit behind the [`kernel::DistKernel`]
 //! trait, which captures the entire surface applications need — the
 //! kernels themselves, the communication-eliding FusedMM variants, the
 //! generalized-combine SDDMM used by graph attention, the R-value
 //! manipulation pipeline (map / row-sum / scale / loss), iterate
-//! layouts, distribution shifts, and row-sharing groups. Harness and
-//! application code holds a [`worker::DistWorker`] (a `Box<dyn
-//! DistKernel>` plus its construction plan) and never names a concrete
-//! family type; dispatch happens once, at construction.
+//! layouts, distribution shifts, and row-sharing groups. A family
+//! implements only what differs between families — its schedules and
+//! its R storage. What is the same in every kernel is a provided trait
+//! method: `supports`, `gather_r`, and the layout, pattern-bound and
+//! row-group descriptors, which all read the kernel's
+//! [`planview::PlanView`]. Harness and application code holds a
+//! [`worker::DistWorker`] (a `Box<dyn DistKernel>` plus its
+//! construction plan) and never names a concrete family type; dispatch
+//! happens once, at construction.
 //!
 //! Construction goes through [`kernel::KernelBuilder`], the planning
 //! layer on top of [`theory`]: `.auto()` (the default) evaluates the
@@ -48,13 +55,13 @@
 //! |-------|---------------|
 //! | §III kernel definitions | [`DistKernel::sddmm`], [`spmm_a`](kernel::DistKernel::spmm_a), [`spmm_b`](kernel::DistKernel::spmm_b) |
 //! | §IV FusedMM & elision (Fig. 3) | [`fused_mm_a`](kernel::DistKernel::fused_mm_a), [`fused_mm_b`](kernel::DistKernel::fused_mm_b), [`supports`](kernel::DistKernel::supports), [`Elision`] |
-//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in [`ds15`], [`ss15`], [`dr25`], [`sr25`], [`baseline`] |
+//! | §V per-family algorithms (Table II) | the `impl DistKernel` blocks in `ds15`, `ss15`, `dr25`, `sr25`, `baseline` |
 //! | §V-E communication analysis (Tables III & IV) | [`theory`] — consumed by [`kernel::KernelBuilder::plan`] |
 //! | §VI-C best-algorithm prediction (Fig. 6) | [`kernel::KernelBuilder::auto`] / [`theory::predict_best`] |
 //! | §VI-E generalized SDDMM (GAT logits) | [`sddmm_general`](kernel::DistKernel::sddmm_general), [`kernel::CombineSpec`] |
 //! | §VI-E softmax & ALS plumbing | [`map_r`](kernel::DistKernel::map_r), [`r_row_sums`](kernel::DistKernel::r_row_sums), [`scale_r_rows`](kernel::DistKernel::scale_r_rows), [`spmm_a_with`](kernel::DistKernel::spmm_a_with), [`sq_loss_local`](kernel::DistKernel::sq_loss_local) |
 //! | Fig. 9 distribution shifts & row-sharing dots | [`set_a`](kernel::DistKernel::set_a)/[`set_b`](kernel::DistKernel::set_b), [`rhs_a`](kernel::DistKernel::rhs_a)/[`rhs_b`](kernel::DistKernel::rhs_b), [`row_group_a`](kernel::DistKernel::row_group_a)/[`row_group_b`](kernel::DistKernel::row_group_b) |
-//! | Table II data distributions | [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] |
+//! | Table II data distributions | [`view`](kernel::DistKernel::view) ([`planview::PlanView`]), [`a_iterate_layout_of`](kernel::DistKernel::a_iterate_layout_of) et al., [`layout`] |
 //!
 //! Each family supports the communication-eliding strategies the paper
 //! allows for it ([`Elision`]): *replication reuse* (one replication
@@ -66,17 +73,17 @@
 // clippy suggests obscure the sparse-index arithmetic.
 #![allow(clippy::needless_range_loop)]
 
-pub mod baseline;
+pub(crate) mod baseline;
 pub mod common;
-pub mod dr25;
-pub mod ds15;
+pub(crate) mod dr25;
+pub(crate) mod ds15;
 pub mod global;
 pub mod kernel;
 pub mod layout;
 pub mod planview;
 pub mod session;
-pub mod sr25;
-pub mod ss15;
+pub(crate) mod sr25;
+pub(crate) mod ss15;
 pub mod staged;
 pub mod theory;
 pub mod wire;

@@ -1,30 +1,35 @@
 //! World-free plan views: the Table II data distributions as pure
 //! functions of `(kernel, c, p, dims)`.
 //!
-//! Every family's iterate layouts and R pattern bounds are grid
-//! arithmetic — they depend on the plan and the problem shape, never on
-//! a live worker or communicator. [`PlanView`] packages that arithmetic
-//! so callers can ask *"where would rank `g` of a `p`-rank world hold
+//! Every family's iterate layouts, R pattern bounds and row-sharing
+//! groups are grid arithmetic — they depend on the plan and the problem
+//! shape, never on a live worker or communicator. [`PlanView`] is the
+//! single home of that arithmetic: the live kernels hold a view of their
+//! own plan and read their layouts, bounds and groups from it (the
+//! corresponding [`DistKernel`](crate::kernel::DistKernel) methods are
+//! provided on top of [`DistKernel::view`](crate::kernel::DistKernel::view)),
+//! and callers can ask *"where would rank `g` of a `p`-rank world hold
 //! its state under this plan?"* for a world that is not running — the
 //! question elastic resize ([`crate::session::Session::resize`]) must
 //! answer on both sides of a process-count change, including on ranks
-//! that are members of only one of the two worlds.
-//!
-//! The descriptors delegate to the same public per-family helpers the
-//! live kernels use for their own `*_layout_of` methods, so a view of a
-//! running worker's plan agrees with the worker bit for bit.
+//! that are members of only one of the two worlds. Because both uses
+//! read the same definitions, a view of a running worker's plan agrees
+//! with the worker bit for bit.
 
 use std::ops::Range;
 
-use crate::baseline::Baseline1D;
 use crate::common::{block_range, union_range, AlgorithmFamily, ProblemDims};
-use crate::dr25::DenseRepl25;
-use crate::ds15::DenseShift15;
 use crate::kernel::{KernelId, KernelPlan};
 use crate::layout::DenseLayout;
-use crate::sr25::SparseRepl25;
-use crate::ss15::SparseShift15;
 use dsk_comm::Grid25;
+
+/// Which dense operand a layout describes: `A` (`m` rows) or `B` (`n`
+/// rows).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    A,
+    B,
+}
 
 /// A plan's data distributions for a hypothetical world of `p` ranks.
 ///
@@ -35,7 +40,7 @@ pub struct PlanView {
     id: KernelId,
     c: usize,
     p: usize,
-    dims: ProblemDims,
+    pub(crate) dims: ProblemDims,
 }
 
 impl PlanView {
@@ -46,21 +51,21 @@ impl PlanView {
     /// Panics when the plan's grid cannot be realized at `p` (e.g. a
     /// 1.5D plan whose `c` does not divide `p`).
     pub fn new(plan: &KernelPlan, p: usize, dims: ProblemDims) -> Self {
+        Self::of(plan.id, plan.c, p, dims)
+    }
+
+    /// [`PlanView::new`] from the plan's identity and replication
+    /// factor alone (the only plan fields the distributions depend on).
+    pub(crate) fn of(id: KernelId, c: usize, p: usize, dims: ProblemDims) -> Self {
         assert!(p >= 1, "a plan view needs at least one rank");
-        if let Some(family) = plan.id.family() {
+        if let Some(family) = id.family() {
             assert!(
-                family.valid_c(p, plan.c),
-                "{} cannot realize c = {} on p = {p}",
+                family.valid_c(p, c),
+                "{} cannot realize c = {c} on p = {p}",
                 family.label(),
-                plan.c,
             );
         }
-        PlanView {
-            id: plan.id,
-            c: plan.c,
-            p,
-            dims,
-        }
+        PlanView { id, c, p, dims }
     }
 
     /// The viewed kernel.
@@ -73,48 +78,113 @@ impl PlanView {
         self.p
     }
 
-    /// The `A`-iterate layout of rank `g` (matches the live kernel's
-    /// `a_iterate_layout_of`).
+    /// The `A`-iterate layout of rank `g`.
     pub fn a_layout_of(&self, g: usize) -> DenseLayout {
-        let (d, p, c) = (self.dims, self.p, self.c);
-        match self.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => DenseShift15::a_layout(d, p)(g),
-            KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                SparseShift15::stationary_layout(d.m, d.r, p, c)(g)
-            }
-            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                DenseRepl25::travel_layout(d.m, d.r, p, c)(g)
-            }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => SparseRepl25::a_layout(d, p, c)(g),
-            KernelId::Baseline1D => Baseline1D::layout(d.m, d.r, p)(g),
+        self.iterate_layout(Side::A, g)
+    }
+
+    /// The `B`-iterate layout of rank `g`.
+    pub fn b_layout_of(&self, g: usize) -> DenseLayout {
+        self.iterate_layout(Side::B, g)
+    }
+
+    /// The layout of rank `g`'s `spmm_a_with` output: the `A` operand's
+    /// share in its replicated role.
+    pub(crate) fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
+        self.fiber_layout(Side::A, g)
+    }
+
+    fn rows(&self, side: Side) -> usize {
+        match side {
+            Side::A => self.dims.m,
+            Side::B => self.dims.n,
         }
     }
 
-    /// The `B`-iterate layout of rank `g` (matches the live kernel's
-    /// `b_iterate_layout_of`).
-    pub fn b_layout_of(&self, g: usize) -> DenseLayout {
-        let (d, p, c) = (self.dims, self.p, self.c);
+    fn grid25(&self) -> Grid25 {
+        Grid25::new(self.p, self.c).expect("invalid 2.5D grid")
+    }
+
+    /// Rank `g`'s share of the `side` operand in its iterate (stored,
+    /// fused-in/fused-out) layout.
+    pub(crate) fn iterate_layout(&self, side: Side, g: usize) -> DenseLayout {
+        let (rows, r, p, c) = (self.rows(side), self.dims.r, self.p, self.c);
         match self.id {
-            KernelId::Family(AlgorithmFamily::DenseShift15) => DenseShift15::b_layout(d, p)(g),
+            // Block row g at full width.
+            KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => {
+                DenseLayout::single(block_range(rows, p, g), 0..r)
+            }
+            // Stationary: the row blocks {j ≡ v (mod c)} the traveling
+            // sparse column blocks address, restricted to slice u.
             KernelId::Family(AlgorithmFamily::SparseShift15) => {
-                SparseShift15::stationary_layout(d.n, d.r, p, c)(g)
+                let (q, u, v) = (p / c, g / c, g % c);
+                DenseLayout {
+                    row_ranges: (0..q).map(|w| block_range(rows, p, w * c + v)).collect(),
+                    col_range: block_range(r, q, u),
+                }
             }
+            // Traveling home block with the Cannon pre-skew: rank
+            // (u, v, w) homes block ((u+v) mod q)·c + w, slice v.
             KernelId::Family(AlgorithmFamily::DenseRepl25) => {
-                DenseRepl25::travel_layout(d.n, d.r, p, c)(g)
+                let grid = self.grid25();
+                let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
+                let sigma0 = (u + v) % grid.q;
+                DenseLayout::single(
+                    block_range(rows, grid.q * c, sigma0 * c + w),
+                    block_range(r, grid.q, v),
+                )
             }
-            KernelId::Family(AlgorithmFamily::SparseRepl25) => SparseRepl25::b_layout(d, p, c)(g),
-            KernelId::Baseline1D => Baseline1D::layout(d.n, d.r, p)(g),
+            // Pre-skewed panels: macro row u (A) or v (B) of the q-way
+            // split, slice ((u+v) mod q)·c + w of the q·c-way r split.
+            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
+                let grid = self.grid25();
+                let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
+                let sigma0 = (u + v) % grid.q;
+                let pos = if side == Side::A { u } else { v };
+                DenseLayout::single(
+                    block_range(rows, grid.q, pos),
+                    block_range(r, grid.q * c, sigma0 * c + w),
+                )
+            }
+        }
+    }
+
+    /// Rank `g`'s share of the `side` operand in the role that is
+    /// all-gathered along the fiber. Only the families whose replicated
+    /// share differs from the iterate share define their own.
+    pub(crate) fn fiber_layout(&self, side: Side, g: usize) -> DenseLayout {
+        let (rows, r, p, c) = (self.rows(side), self.dims.r, self.p, self.c);
+        match self.id {
+            // Rows block(rows, c, v) of slice u.
+            KernelId::Family(AlgorithmFamily::SparseShift15) => {
+                let (q, u, v) = (p / c, g / c, g % c);
+                DenseLayout::single(block_range(rows, c, v), block_range(r, q, u))
+            }
+            // The w-th c-way split of macro row u, slice v.
+            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
+                let grid = self.grid25();
+                let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
+                let mac = block_range(rows, grid.q, u);
+                let sub = block_range(mac.len(), c, w);
+                DenseLayout::single(
+                    mac.start + sub.start..mac.start + sub.end,
+                    block_range(r, grid.q, v),
+                )
+            }
+            _ => self.iterate_layout(side, g),
         }
     }
 
     /// Global bounding rectangle `(rows, cols)` of rank `g`'s stored-R
-    /// sparsity pattern under this plan (matches the live kernel's
-    /// `r_pattern_bounds_of`).
+    /// sparsity pattern under this plan; its start is the global offset
+    /// of the rank's home block.
     pub fn r_bounds_of(&self, g: usize) -> (Range<usize>, Range<usize>) {
         let (d, p, c) = (self.dims, self.p, self.c);
         match self.id {
             KernelId::Family(AlgorithmFamily::DenseShift15) => {
-                // Rank g holds macro row u = g/c of S at full width.
+                // Macro row u = g/c of S; its column blocks are strided
+                // across the full width, so the column bound stays
+                // conservative.
                 (union_range(d.m, p, (g / c) * c, c), 0..d.n)
             }
             KernelId::Family(AlgorithmFamily::SparseShift15) => {
@@ -124,7 +194,7 @@ impl PlanView {
             KernelId::Family(AlgorithmFamily::DenseRepl25) => {
                 // Canonical home block: macro row u, column block
                 // σ₀·c + w of the q·c-way split (σ₀ = (u+v) mod q).
-                let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
+                let grid = self.grid25();
                 let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
                 let sigma0 = (u + v) % grid.q;
                 (
@@ -135,14 +205,43 @@ impl PlanView {
             KernelId::Family(AlgorithmFamily::SparseRepl25) => {
                 // The (u, v) block of the q×q layer grid, identical on
                 // every fiber layer.
-                let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
+                let grid = self.grid25();
                 (
                     block_range(d.m, grid.q, grid.row_pos(g)),
                     block_range(d.n, grid.q, grid.col_pos(g)),
                 )
             }
+            // 1D block rows at full width.
             KernelId::Baseline1D => (block_range(d.m, p, g), 0..d.n),
         }
+    }
+
+    /// Row-sharing color of rank `g` for `side`-iterates: ranks with
+    /// equal color hold pieces of the same iterate rows.
+    pub(crate) fn row_group(&self, side: Side, g: usize) -> u64 {
+        let group = match self.id {
+            // Whole rows on one rank: groups of one.
+            KernelId::Family(AlgorithmFamily::DenseShift15) | KernelId::Baseline1D => g,
+            // Stationary layouts are shared by the layer (same v).
+            KernelId::Family(AlgorithmFamily::SparseShift15) => g % self.c,
+            // Travel layouts are shared by the Cannon anti-diagonal
+            // {(u, v): u+v ≡ σ₀ (mod q)} within a layer w.
+            KernelId::Family(AlgorithmFamily::DenseRepl25) => {
+                let grid = self.grid25();
+                let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
+                ((u + v) % grid.q) * self.c + w
+            }
+            // A panels are shared by the grid-row plane, B panels by
+            // the grid-column plane.
+            KernelId::Family(AlgorithmFamily::SparseRepl25) => {
+                let grid = self.grid25();
+                match side {
+                    Side::A => grid.row_pos(g),
+                    Side::B => grid.col_pos(g),
+                }
+            }
+        };
+        group as u64
     }
 }
 

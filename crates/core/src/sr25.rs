@@ -27,15 +27,19 @@
 //! No communication elision applies: there is no dense replication to
 //! reuse and rows are sliced, so FusedMM is always two rounds.
 
+use std::sync::Arc;
+
 use dsk_comm::{Comm, CommPattern, Grid25, GridComms25, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
-use crate::kernel::{CombineSpec, DistKernel, KernelId};
-use crate::layout::DenseLayout;
+use crate::common::{
+    block_range, csr_coords, export_triplets, forward_acc, forward_input, import_values, sq_diff,
+    AlgorithmFamily, Elision, Sampling, ShiftPipeline,
+};
+use crate::kernel::{CombineSpec, DistKernel, KernelId, TuneBlock};
+use crate::planview::{PlanView, Side};
 use crate::staged::{PlanPatterns, StagedProblem};
 
 /// Tag for `A` panels (row-ring traffic).
@@ -44,10 +48,10 @@ const TAG_A: u32 = 130;
 const TAG_B: u32 = 131;
 
 /// Per-rank state of the 2.5D sparse-replicating algorithm.
-pub struct SparseRepl25 {
+pub(crate) struct SparseRepl25 {
     /// Grid communicators.
-    pub gc: GridComms25,
-    dims: ProblemDims,
+    gc: GridComms25,
+    view: PlanView,
     /// The local `S` block's pattern (CSR, values unset — real values
     /// are distributed along the fiber).
     s_pattern: CsrMatrix,
@@ -55,15 +59,14 @@ pub struct SparseRepl25 {
     /// range of the CSR nonzero order).
     sampling_part: Vec<f64>,
     /// Home (pre-skewed) `A` panel.
-    pub a_home: Mat,
+    a_home: Mat,
     /// Home (pre-skewed) `B` panel.
-    pub b_home: Mat,
+    b_home: Mat,
     /// Fully reduced SDDMM values (available on every layer after a
     /// kernel).
     r_vals: Option<Vec<f64>>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`SparseRepl25::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
     /// Row-ring pattern for `A`-side panels (`None` = dense shifts).
     route_a: Option<CommPattern>,
     /// Column-ring pattern for `B`-side panels.
@@ -71,44 +74,37 @@ pub struct SparseRepl25 {
 }
 
 impl SparseRepl25 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`SparseRepl25::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    pub(crate) fn new(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid25::new(comm.size(), c).expect("invalid 2.5D grid");
         let gc = GridComms25::build(comm, grid);
         let q = grid.q;
-        let (m, n, r) = (prob.dims.m, prob.dims.n, prob.dims.r);
+        let (m, n) = (prob.dims.m, prob.dims.n);
         assert!(m >= q && n >= q, "matrix sides too small for grid");
         let (u, v, w) = (gc.u, gc.v, gc.w);
 
-        let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
-        let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
-        let grid_s = staged.partition(false, &rows, &cols);
-        let s_full = CsrMatrix::from_coo(&grid_s[u][v]);
+        let s_full = CsrMatrix::from_coo(&Self::partition(staged, q)[u][v]);
         let part = block_range(s_full.nnz(), c, w);
         let sampling_part = s_full.vals()[part].to_vec();
         let mut s_pattern = s_full;
         s_pattern.vals_mut().fill(0.0);
 
-        let sigma0 = (u + v) % q;
-        let slice = block_range(r, q * c, sigma0 * c + w);
-        let a_home = prob.a.block(rows[u].clone(), slice.clone());
-        let b_home = prob.b.block(cols[v].clone(), slice);
+        let view = PlanView::of(
+            KernelId::Family(AlgorithmFamily::SparseRepl25),
+            c,
+            grid.p,
+            prob.dims,
+        );
+        let g = comm.rank();
         SparseRepl25 {
             gc,
-            dims: prob.dims,
+            view,
             s_pattern,
             sampling_part,
-            a_home,
-            b_home,
+            a_home: view.a_layout_of(g).extract(&prob.a),
+            b_home: view.b_layout_of(g).extract(&prob.b),
             r_vals: None,
             route_a: None,
             route_b: None,
@@ -116,26 +112,12 @@ impl SparseRepl25 {
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's stationary `S`
-    /// pattern when the shape class is new. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    /// The fused pick stays naive — this family has no local fused
+    /// The block the builder tunes on (this rank's stationary `S`
+    /// pattern) and the local ops this family runs — no local fused
     /// kernel (it decomposes into SDDMM + SpMM rounds).
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::SparseRepl25, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_pattern;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_csr(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_csr(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_csr(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
+    pub(crate) fn tune_target(&self) -> (TuneBlock<'_>, &'static [kern::LocalOp]) {
+        use kern::LocalOp::*;
+        (TuneBlock::Csr(&self.s_pattern), &[Spmm, SpmmT, Sddmm])
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -145,13 +127,10 @@ impl SparseRepl25 {
     /// slice the panel carries, so each origin entry repeats them.
     /// `primary` covers the row ring (`A` side), `secondary` the column
     /// ring (`B` side).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
+    pub(crate) fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
         let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
         let q = grid.q;
-        let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let rows: Vec<_> = (0..q).map(|uu| block_range(m, q, uu)).collect();
-        let cols: Vec<_> = (0..q).map(|vv| block_range(n, q, vv)).collect();
-        let grid_s = staged.partition(false, &rows, &cols);
+        let grid_s = Self::partition(staged, q);
         let mut primary = Vec::with_capacity(p);
         let mut secondary = Vec::with_capacity(p);
         for g in 0..p {
@@ -168,11 +147,18 @@ impl SparseRepl25 {
         }
     }
 
+    /// The staged `q × q` block partition of `S`.
+    fn partition(staged: &StagedProblem, q: usize) -> Arc<Vec<Vec<CooMatrix>>> {
+        let d = staged.prob.dims;
+        let rows: Vec<_> = (0..q).map(|uu| block_range(d.m, q, uu)).collect();
+        let cols: Vec<_> = (0..q).map(|vv| block_range(d.n, q, vv)).collect();
+        staged.partition(false, &rows, &cols)
+    }
+
     /// Switch both panel rings to pattern routing: exchange this rank's
     /// need sets over each ring (charged to `Phase::PatternExchange`).
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let grid = self.gc.grid;
-        let g = grid.rank_of(self.gc.u, self.gc.v, self.gc.w);
+    pub(crate) fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
+        let g = self.me();
         self.route_a = Some(CommPattern::exchange(
             &self.gc.row_ring,
             pats.primary[g].clone(),
@@ -184,39 +170,13 @@ impl SparseRepl25 {
         self.route_b = Some(CommPattern::exchange(&self.gc.col_ring, sec[g].clone()));
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
     fn q(&self) -> usize {
         self.gc.grid.q
     }
 
-    /// Layout of `A` panels (pre-skewed home slices).
-    pub fn a_layout(dims: ProblemDims, p: usize, c: usize) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(dims.m, grid.q, u),
-                block_range(dims.r, grid.q * c, sigma0 * c + w),
-            )
-        }
-    }
-
-    /// Layout of `B` panels (pre-skewed home slices).
-    pub fn b_layout(dims: ProblemDims, p: usize, c: usize) -> impl Fn(usize) -> DenseLayout {
-        let grid = Grid25::new(p, c).expect("invalid 2.5D grid");
-        move |g| {
-            let (u, v, w) = (grid.row_pos(g), grid.col_pos(g), grid.fiber_pos(g));
-            let sigma0 = (u + v) % grid.q;
-            DenseLayout::single(
-                block_range(dims.n, grid.q, v),
-                block_range(dims.r, grid.q * c, sigma0 * c + w),
-            )
-        }
+    /// This rank's position in the world communicator.
+    fn me(&self) -> usize {
+        self.gc.grid.rank_of(self.gc.u, self.gc.v, self.gc.w)
     }
 
     /// All-gather the distributed sampling values along the fiber
@@ -257,24 +217,14 @@ impl SparseRepl25 {
         got
     }
 
-    /// Forward set for an **input** panel leaving after step `t` on the
-    /// ring whose member coordinate excludes `base` (`base = u` for the
-    /// row ring, `base = v` for the column ring): the union of the
-    /// needs of the members that still read it. Needs are
+    /// The ring member (on the ring whose member coordinate excludes
+    /// `base`: `base = u` for the row ring, `v` for the column ring)
+    /// that holds this rank's step-`t` panel at step `t'`. Needs are
     /// origin-independent here, so origin 0 stands for all.
-    fn forward_input_on(&self, pat: &CommPattern, base: usize, t: usize) -> RowSet {
+    fn holder(&self, base: usize, t: usize) -> impl Fn(usize) -> usize {
         let q = self.q();
         let sig = (self.gc.u + self.gc.v + t) % q;
-        pat.union_over((t + 1..q).map(|tp| (sig + 2 * q - base - tp) % q), 0)
-    }
-
-    /// Forward set for a circulating **accumulator** leaving after step
-    /// `t`: the union of every visited writer's rows (lossless under
-    /// zero-fill; the final hop carries the whole support home).
-    fn forward_acc_on(&self, pat: &CommPattern, base: usize, t: usize) -> RowSet {
-        let q = self.q();
-        let sig = (self.gc.u + self.gc.v + t) % q;
-        pat.union_over((0..=t).map(|tpp| (sig + 2 * q - base - tpp) % q), 0)
+        move |tp| (sig + 2 * q - base - tp) % q
     }
 
     /// Width of the r-slice carried at step `t` (slices can differ by
@@ -283,7 +233,7 @@ impl SparseRepl25 {
         let q = self.q();
         let sigma = (self.gc.u + self.gc.v + t) % q;
         block_range(
-            self.dims.r,
+            self.view.dims.r,
             q * self.gc.grid.c,
             sigma * self.gc.grid.c + self.gc.w,
         )
@@ -294,6 +244,7 @@ impl SparseRepl25 {
     /// values (caller all-reduces along the fiber).
     fn dots_round(&self, combine: &CombineSpec) -> Vec<f64> {
         let q = self.q();
+        let (u, v) = (self.gc.u, self.gc.v);
         let mut acc = vec![0.0; self.s_pattern.nnz()];
         let mut a = self.a_home.clone();
         let mut b = self.b_home.clone();
@@ -306,14 +257,10 @@ impl SparseRepl25 {
             // combine so the two ring transfers overlap it (and each
             // other).
             let next = self.slice_at(t + 1).len();
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.u, t));
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.v, t));
+            let ship_a =
+                (self.route_a.as_ref()).map(|pat| forward_input(pat, 0, t, q, self.holder(u, t)));
+            let ship_b =
+                (self.route_b.as_ref()).map(|pat| forward_input(pat, 0, t, q, self.holder(v, t)));
             let fly_a = pipe_a.begin_mat(&a, ship_a.as_ref());
             let fly_b = pipe_b.begin_mat(&b, ship_b.as_ref());
             let com = combine.for_slice(slice.clone());
@@ -334,6 +281,7 @@ impl SparseRepl25 {
     /// circulates the row ring accumulating `S·B` per slice.
     fn spmm_a_round(&self, vals: &[f64], b0: &Mat) -> Mat {
         let q = self.q();
+        let (u, v) = (self.gc.u, self.gc.v);
         let mut s = self.s_pattern.clone();
         s.set_vals(vals.to_vec());
         let mut out = Mat::zeros(self.a_home.nrows(), self.a_home.ncols());
@@ -345,20 +293,16 @@ impl SparseRepl25 {
             // `B` is an input lane (posted early); the `A`-shaped
             // accumulator is written by the kernel and exchanges after.
             let next = self.slice_at(t + 1).len();
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.v, t));
+            let ship_b =
+                (self.route_b.as_ref()).map(|pat| forward_input(pat, 0, t, q, self.holder(v, t)));
             let fly_b = pipe_b.begin_mat(&b, ship_b.as_ref());
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), b.ncols()), || {
                     self.local.spmm.spmm_csr(&mut out, &s, &b)
                 });
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_acc_on(pat, self.gc.u, t));
+            let ship_a =
+                (self.route_a.as_ref()).map(|pat| forward_acc(pat, 0, t, self.holder(u, t)));
             out = Self::check_panel(pipe_a.exchange_mat(out, ship_a.as_ref()), next);
             b = Self::check_panel(fly_b.wait(), next);
         }
@@ -369,6 +313,7 @@ impl SparseRepl25 {
     /// circulates the column ring accumulating `Sᵀ·A` per slice.
     fn spmm_b_round(&self, vals: &[f64], a0: &Mat) -> Mat {
         let q = self.q();
+        let (u, v) = (self.gc.u, self.gc.v);
         let mut s = self.s_pattern.clone();
         s.set_vals(vals.to_vec());
         let mut out = Mat::zeros(self.b_home.nrows(), self.b_home.ncols());
@@ -380,20 +325,16 @@ impl SparseRepl25 {
             // `A` is an input lane (posted early); the `B`-shaped
             // accumulator is written by the kernel and exchanges after.
             let next = self.slice_at(t + 1).len();
-            let ship_a = self
-                .route_a
-                .as_ref()
-                .map(|pat| self.forward_input_on(pat, self.gc.u, t));
+            let ship_a =
+                (self.route_a.as_ref()).map(|pat| forward_input(pat, 0, t, q, self.holder(u, t)));
             let fly_a = pipe_a.begin_mat(&a, ship_a.as_ref());
             self.gc
                 .row_ring
                 .compute(kern::spmm_flops(s.nnz(), a.ncols()), || {
                     self.local.spmm_t.spmm_csr_t(&mut out, &s, &a)
                 });
-            let ship_b = self
-                .route_b
-                .as_ref()
-                .map(|pat| self.forward_acc_on(pat, self.gc.v, t));
+            let ship_b =
+                (self.route_b.as_ref()).map(|pat| forward_acc(pat, 0, t, self.holder(v, t)));
             out = Self::check_panel(pipe_b.exchange_mat(out, ship_b.as_ref()), next);
             a = Self::check_panel(fly_a.wait(), next);
         }
@@ -414,33 +355,6 @@ impl SparseRepl25 {
         dots
     }
 
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM; the result values end up replicated on every
-    /// layer of the fiber.
-    pub fn sddmm(&mut self) {
-        let dots = self.dots_round(&CombineSpec::Dot);
-        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Values));
-    }
-
-    /// Distributed SpMMA: `S·B` (or `R·B`), returned in the `A` panel
-    /// layout.
-    pub fn spmm_a(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_full(use_r);
-        let b0 = self.b_home.clone();
-        self.spmm_a_round(&vals, &b0)
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the `B`
-    /// panel layout.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let vals = self.vals_full(use_r);
-        let a0 = self.a_home.clone();
-        self.spmm_b_round(&vals, &a0)
-    }
-
     fn vals_full(&self, use_r: bool) -> Vec<f64> {
         if use_r {
             self.r_vals
@@ -451,161 +365,39 @@ impl SparseRepl25 {
         }
     }
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)`. `x` (`A` panel layout)
-    /// defaults to the stored `A`; same layout out. Only
+    /// FusedMM with the `side` operand optionally replaced by `x` for
+    /// the call: SDDMM, then the SpMM producing the `side` output. Only
     /// [`Elision::None`] is valid (paper §V-D).
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+    fn fused(&mut self, side: Side, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
         assert!(
             matches!(elision, Elision::None),
             "the 2.5D sparse-replicating algorithm admits no communication elision"
         );
-        let saved;
-        let a_ref = match x {
-            Some(xm) => {
-                saved = std::mem::replace(&mut self.a_home, xm.clone());
-                Some(saved)
-            }
-            None => None,
-        };
+        let saved = x.map(|x| std::mem::replace(self.home_mut(side), x.clone()));
         let dots = self.dots_round(&CombineSpec::Dot);
         let rvals = self.reduce_and_sample(dots, sampling);
-        self.r_vals = Some(rvals.clone());
-        let b0 = self.b_home.clone();
-        let out = self.spmm_a_round(&rvals, &b0);
-        if let Some(orig) = a_ref {
-            self.a_home = orig;
+        let out = match side {
+            Side::A => self.spmm_a_round(&rvals, &self.b_home),
+            Side::B => self.spmm_b_round(&rvals, &self.a_home),
+        };
+        self.r_vals = Some(rvals);
+        if let Some(orig) = saved {
+            *self.home_mut(side) = orig;
         }
         out
     }
 
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (`B` panel layout)
-    /// defaults to the stored `B`; same layout out.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        assert!(
-            matches!(elision, Elision::None),
-            "the 2.5D sparse-replicating algorithm admits no communication elision"
-        );
-        let saved;
-        let b_ref = match y {
-            Some(ym) => {
-                saved = std::mem::replace(&mut self.b_home, ym.clone());
-                Some(saved)
-            }
-            None => None,
-        };
-        let dots = self.dots_round(&CombineSpec::Dot);
-        let rvals = self.reduce_and_sample(dots, sampling);
-        self.r_vals = Some(rvals.clone());
-        let a0 = self.a_home.clone();
-        let out = self.spmm_b_round(&rvals, &a0);
-        if let Some(orig) = b_ref {
-            self.b_home = orig;
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
-
-    /// Generalized SDDMM storing fully reduced raw accumulations as R
-    /// values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let dots = self.dots_round(&combine);
-        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Ones));
-    }
-
-    /// Map every stored R value in place (all layers apply the same
-    /// deterministic map, preserving replication).
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        for v in r.iter_mut() {
-            *v = f(*v);
+    fn home_mut(&mut self, side: Side) -> &mut Mat {
+        match side {
+            Side::A => &mut self.a_home,
+            Side::B => &mut self.b_home,
         }
     }
 
-    /// Row sums of R over this rank's macro row (reduced across the row
-    /// ring; values are replicated along fibers so layers don't sum).
-    pub fn r_row_sums(&self, comm_phase: Phase) -> Vec<f64> {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let rows = self.s_pattern.nrows();
-        let mut sums = vec![0.0; rows];
-        let indptr = self.s_pattern.indptr();
-        for i in 0..rows {
-            for k in indptr[i]..indptr[i + 1] {
-                sums[i] += r[k];
-            }
-        }
-        let _ph = self.gc.row_ring.phase(comm_phase);
-        self.gc.row_ring.allreduce_sum(&mut sums);
-        sums
-    }
-
-    /// Scale each R row by `scale[i]` (indices local to macro row `u`).
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        let r = self.r_vals.as_mut().expect("no R values");
-        let indptr = self.s_pattern.indptr();
-        for i in 0..self.s_pattern.nrows() {
-            for k in indptr[i]..indptr[i + 1] {
-                r[k] *= scale[i];
-            }
-        }
-    }
-
-    /// SpMMA using the stored R values against an explicit `B`-layout
-    /// operand (GAT), returned in the `A` panel layout.
-    pub fn spmm_a_with(&self, y: &Mat) -> Mat {
-        let vals = self.r_vals.clone().expect("no R values");
-        self.spmm_a_round(&vals, y)
-    }
-
-    /// Replace the stored `A` panel.
-    pub fn set_a_panel(&mut self, panel: Mat) {
-        self.a_home = panel;
-    }
-
-    /// Replace the stored `B` panel.
-    pub fn set_b_panel(&mut self, panel: Mat) {
-        self.b_home = panel;
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`SparseRepl25::sddmm_general`] — only this layer's value share
-    /// is counted, so the sum across ranks covers each nonzero once.
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        let part = block_range(self.s_pattern.nnz(), self.gc.grid.c, self.gc.w);
-        self.sampling_part
-            .iter()
-            .zip(&r[part])
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates (layer 0
-    /// contributes; values are replicated across layers).
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets: R is replicated
-    /// along the fiber, so only layer 0 exports (others contribute an
-    /// empty set) and the cross-rank union covers each nonzero once.
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (q, u, v, w) = (self.gc.grid.q, self.gc.u, self.gc.v, self.gc.w);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let mut local = CooMatrix::empty(m, n);
-        if w == 0 {
-            let row_start = block_range(m, q, u).start;
-            let col_start = block_range(n, q, v).start;
-            let coo = self.s_pattern.to_coo();
-            for (k, (i, j, _)) in coo.iter().enumerate() {
-                local.push(row_start + i, col_start + j, r_vals[k]);
-            }
-        }
-        Some(local)
+    /// Global `(row, col)` of every stored R value, in `r_vals` order.
+    fn r_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (rows, cols) = self.view.r_bounds_of(self.me());
+        csr_coords(&self.s_pattern).map(move |(i, j)| (rows.start + i, cols.start + j))
     }
 }
 
@@ -614,93 +406,97 @@ impl DistKernel for SparseRepl25 {
         KernelId::Family(AlgorithmFamily::SparseRepl25)
     }
 
-    fn dims(&self) -> ProblemDims {
-        self.dims
+    fn view(&self) -> PlanView {
+        self.view
     }
 
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::SparseRepl25.supports(elision)
-    }
-
+    /// Distributed SDDMM; the result values end up replicated on every
+    /// layer of the fiber.
     fn sddmm(&mut self) {
-        SparseRepl25::sddmm(self);
+        let dots = self.dots_round(&CombineSpec::Dot);
+        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Values));
     }
 
     fn sddmm_general(&mut self, combine: &CombineSpec) {
-        SparseRepl25::sddmm_general(self, combine.clone());
+        let dots = self.dots_round(combine);
+        self.r_vals = Some(self.reduce_and_sample(dots, Sampling::Ones));
     }
 
+    /// `S·B` (or `R·B`), returned in the `A` panel layout.
     fn spmm_a(&mut self, use_r: bool) -> Mat {
-        SparseRepl25::spmm_a(self, use_r)
+        let vals = self.vals_full(use_r);
+        self.spmm_a_round(&vals, &self.b_home)
     }
 
+    /// `Sᵀ·A` (or `Rᵀ·A`), returned in the `B` panel layout.
     fn spmm_b(&mut self, use_r: bool) -> Mat {
-        SparseRepl25::spmm_b(self, use_r)
+        let vals = self.vals_full(use_r);
+        self.spmm_b_round(&vals, &self.a_home)
     }
 
     fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseRepl25::fused_mm_a(self, x, elision, sampling)
+        self.fused(Side::A, x, elision, sampling)
     }
 
     fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseRepl25::fused_mm_b(self, y, elision, sampling)
+        self.fused(Side::B, y, elision, sampling)
     }
 
+    /// All layers apply the same deterministic map, preserving
+    /// replication.
     fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        SparseRepl25::map_r(self, f);
+        let r = self.r_vals.as_mut().expect("no R values");
+        for v in r.iter_mut() {
+            *v = f(*v);
+        }
     }
 
+    /// Row sums over this rank's macro row (reduced across the row
+    /// ring; values are replicated along fibers so layers don't sum).
     fn r_row_sums(&self, _comm: &Comm, phase: Phase) -> Vec<f64> {
-        SparseRepl25::r_row_sums(self, phase)
+        let r = self.r_vals.as_ref().expect("no R values");
+        let mut sums = vec![0.0; self.s_pattern.nrows()];
+        for (k, (i, _)) in csr_coords(&self.s_pattern).enumerate() {
+            sums[i] += r[k];
+        }
+        let _ph = self.gc.row_ring.phase(phase);
+        self.gc.row_ring.allreduce_sum(&mut sums);
+        sums
     }
 
     fn scale_r_rows(&mut self, scale: &[f64]) {
-        SparseRepl25::scale_r_rows(self, scale);
+        let r = self.r_vals.as_mut().expect("no R values");
+        for (k, (i, _)) in csr_coords(&self.s_pattern).enumerate() {
+            r[k] *= scale[i];
+        }
     }
 
     fn spmm_a_with(&self, y: &Mat) -> Mat {
-        SparseRepl25::spmm_a_with(self, y)
+        let vals = self.r_vals.clone().expect("no R values");
+        self.spmm_a_round(&vals, y)
     }
 
+    /// Only this layer's value share is counted, so the sum across
+    /// ranks covers each nonzero once.
     fn sq_loss_local(&self) -> f64 {
-        SparseRepl25::sq_loss_local(self)
+        let r = self.r_vals.as_ref().expect("no R values");
+        let part = block_range(self.s_pattern.nnz(), self.gc.grid.c, self.gc.w);
+        sq_diff(&self.sampling_part, &r[part])
     }
 
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        SparseRepl25::gather_r(self, comm)
-    }
-
+    /// R is replicated along the fiber, so only layer 0 exports (others
+    /// contribute an empty set) and the cross-rank union covers each
+    /// nonzero once.
     fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
+        let r_vals = self.r_vals.as_ref()?;
+        let layer0 = if self.gc.w == 0 { &r_vals[..] } else { &[] };
+        Some(export_triplets(self.view.dims, self.r_coords(), layer0))
     }
 
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g holds the (u, v) block of the q×q layer grid; all c
-        // fiber layers of that position import the same block.
-        let grid = self.gc.grid;
-        let (u, v) = (grid.row_pos(g), grid.col_pos(g));
-        (
-            block_range(self.dims.m, grid.q, u),
-            block_range(self.dims.n, grid.q, v),
-        )
-    }
-
+    /// Every layer installs the full value set, restoring the
+    /// replicated-R invariant.
     fn import_r(&mut self, r: &CooMatrix) {
-        // Every layer installs the full value set, restoring the
-        // replicated-R invariant.
-        let map = crate::layout::triplet_map(r);
-        let (q, u, v) = (self.gc.grid.q, self.gc.u, self.gc.v);
-        let row_start = block_range(self.dims.m, q, u).start as u32;
-        let col_start = block_range(self.dims.n, q, v).start as u32;
-        let coo = self.s_pattern.to_coo();
-        let vals: Vec<f64> = coo
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&(row_start + i as u32, col_start + j as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
+        self.r_vals = Some(import_values(r, self.r_coords()));
     }
 
     fn a_iterate(&self) -> Mat {
@@ -713,157 +509,18 @@ impl DistKernel for SparseRepl25 {
 
     fn set_a(&mut self, _comm: &Comm, x: &Mat) {
         // Panel layout == iterate layout: no distribution shift.
-        self.set_a_panel(x.clone());
+        self.a_home = x.clone();
     }
 
     fn set_b(&mut self, _comm: &Comm, y: &Mat) {
-        self.set_b_panel(y.clone());
+        self.b_home = y.clone();
     }
 
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        SparseRepl25::spmm_a(self, false)
+        self.spmm_a(false)
     }
 
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        SparseRepl25::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::b_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::a_layout(self.dims, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // A panels are shared by the grid-row plane.
-        (g / (self.gc.grid.q * self.gc.grid.c)) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        // B panels are shared by the grid-column plane.
-        ((g / self.gc.grid.c) % self.gc.grid.q) as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
-    use dsk_dense::ops::max_abs_diff;
-    use std::sync::Arc;
-
-    #[test]
-    fn sddmm_matches_reference() {
-        for (p, c) in [(4, 1), (8, 2), (18, 2), (16, 4), (27, 3)] {
-            let (m, n, r) = (27, 24, 13);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 71));
-            let expect = prob.reference_sddmm().to_coo().to_dense();
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = SparseRepl25::from_global(comm, c, &prob);
-                worker.sddmm();
-                worker.gather_r(comm)
-            });
-            let got = out[0].value.as_ref().unwrap().to_dense();
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-9, "sddmm mismatch p={p} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_kernels_match_reference() {
-        let (p, c, m, n, r) = (8, 2, 25, 22, 11);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 72));
-        let ea = prob.reference_fused_a();
-        let eb = prob.reference_fused_b();
-        let la = SparseRepl25::a_layout(prob.dims, p, c);
-        let lb = SparseRepl25::b_layout(prob.dims, p, c);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
-            let ga = worker.fused_mm_a(None, Elision::None, Sampling::Values);
-            let gb = worker.fused_mm_b(None, Elision::None, Sampling::Values);
-            (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-            )
-        });
-        let (ga, gb) = &out[0].value;
-        assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9);
-        assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9);
-    }
-
-    #[test]
-    fn spmm_kernels_match_reference() {
-        let (p, c, m, n, r) = (18, 2, 24, 27, 12);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 73));
-        let ea = prob.reference_spmm_a();
-        let eb = prob.reference_spmm_b();
-        let la = SparseRepl25::a_layout(prob.dims, p, c);
-        let lb = SparseRepl25::b_layout(prob.dims, p, c);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
-            let ga = worker.spmm_a(false);
-            let gb = worker.spmm_b(false);
-            (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-            )
-        });
-        let (ga, gb) = &out[0].value;
-        assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9);
-        assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9);
-    }
-
-    #[test]
-    fn elision_is_rejected() {
-        let (p, c) = (4, 1);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(16, 16, 4, 2, 74));
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker.fused_mm_a(None, Elision::ReplicationReuse, Sampling::Values)
-            }))
-            .is_err()
-        });
-        assert!(out.iter().all(|o| o.value));
-    }
-
-    #[test]
-    fn fiber_traffic_is_values_only() {
-        // Replication traffic must be proportional to nnz, not to the
-        // dense matrices: allgather of values (c-1)/c·nnz_blk + one
-        // all-reduce ≈ 3·(c-1)/c·nnz_blk words per rank.
-        let (p, c, m, n, r) = (8, 2, 32, 32, 16);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 75));
-        let nnz = prob.nnz() as u64;
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseRepl25::from_global(comm, c, &prob);
-            let _ = worker.fused_mm_a(None, Elision::None, Sampling::Values);
-        });
-        let total: u64 = out
-            .iter()
-            .map(|o| o.stats.phase(Phase::Replication).words_sent)
-            .sum();
-        // Per fiber of c ranks and nnz_blk values: allgather (c-1)·nnz_blk/c
-        // + reduce-scatter (c-1)·nnz_blk/c + allgather (c-1)·nnz_blk/c,
-        // summed over the q² fibers (each block replicated on c ranks):
-        // 3·(c-1)/c·nnz total (< 3·nnz words; compare ≈ n·r dense words).
-        let expected_max = 3 * nnz; // upper bound independent of r
-        assert!(
-            total <= expected_max,
-            "fiber words {total} > {expected_max}"
-        );
-        assert!(total > 0);
+        self.spmm_b(false)
     }
 }

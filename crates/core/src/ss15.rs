@@ -28,27 +28,30 @@
 //! output); without elision the second kernel re-replicates its input.
 //! Local kernel fusion is impossible: rows are split across ranks.
 
+use std::sync::Arc;
+
 use dsk_comm::{Comm, CommPattern, Grid15, GridComms15, Phase, RowSet};
 use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_sparse::CooMatrix;
 
-use crate::common::{block_range, AlgorithmFamily, Elision, ProblemDims, Sampling, ShiftPipeline};
-use crate::global::GlobalProblem;
-use crate::kernel::{DistKernel, KernelId};
-use crate::layout::{repartition_dense, DenseLayout};
+use crate::common::{
+    block_range, export_triplets, import_values, sample, sq_diff, AlgorithmFamily, Elision,
+    Sampling, ShiftPipeline,
+};
+use crate::kernel::{CombineSpec, DistKernel, KernelId, TuneBlock};
+use crate::layout::repartition_dense;
+use crate::planview::{PlanView, Side};
 use crate::staged::{PlanPatterns, StagedProblem};
-
-pub use crate::kernel::CombineSpec;
 
 /// Tag for traveling sparse blocks.
 const TAG_SPARSE: u32 = 110;
 
 /// Per-rank state of the 1.5D sparse-shifting algorithm.
-pub struct SparseShift15 {
+pub(crate) struct SparseShift15 {
     /// Grid communicators (layer ring + replication fiber).
-    pub gc: GridComms15,
-    dims: ProblemDims,
+    gc: GridComms15,
+    view: PlanView,
     /// Home column block of `S`: rows global over `m`, columns local to
     /// block `u·c+v`; values = sampling values.
     s_home: CooMatrix,
@@ -56,9 +59,9 @@ pub struct SparseShift15 {
     /// to the `m`-block `u·c+v`) for the transposed (FusedMMA) paths.
     st_home: CooMatrix,
     /// Replicate-layout share of `A`: rows `block(m, c, v)` × slice `u`.
-    pub a_rep: Mat,
+    a_rep: Mat,
     /// Replicate-layout share of `B`.
-    pub b_rep: Mat,
+    b_rep: Mat,
     /// Stationary blocks of `A` by slot `w` (rows `block(m, p, w·c+v)` ×
     /// slice `u`), for the transposed paths.
     a_stat: Vec<Mat>,
@@ -72,57 +75,47 @@ pub struct SparseShift15 {
     /// Fiber pattern for the transposed, `B`-replicating paths (rows
     /// over `n`).
     route_b: Option<CommPattern>,
-    /// Tuned local-kernel variants (all-naive until
-    /// [`SparseShift15::tune_local`] runs).
-    local: kern::LocalPicks,
+    /// Tuned local-kernel variants (all-naive until the builder tunes).
+    pub(crate) local: kern::LocalPicks,
 }
 
 impl SparseShift15 {
-    /// Build this rank's state from a borrowed global problem (test
-    /// convenience; benchmark runs share staging via
-    /// [`SparseShift15::from_staged`]).
-    pub fn from_global(comm: &Comm, c: usize, prob: &GlobalProblem) -> Self {
-        Self::from_staged(comm, c, &StagedProblem::ephemeral(prob))
-    }
-
     /// Build this rank's state from shared staging (no communication,
     /// statistics unaffected).
-    pub fn from_staged(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
+    pub(crate) fn new(comm: &Comm, c: usize, staged: &StagedProblem) -> Self {
         let prob = &*staged.prob;
         let grid = Grid15::new(comm.size(), c).expect("invalid 1.5D grid");
         let gc = GridComms15::build(comm, grid);
         let p = grid.p;
-        let q = grid.layer_size();
-        let (m, n, r) = (prob.dims.m, prob.dims.n, prob.dims.r);
+        let (m, n) = (prob.dims.m, prob.dims.n);
         assert!(m >= p && n >= p, "matrix sides must be at least p");
-        let (u, v) = (gc.u, gc.v);
-        let slice = block_range(r, q, u);
+        let g = comm.rank();
 
         // Home S column block (rows stay global).
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let s_home = s_cols[0][u * c + v].clone();
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
-        let st_home = st_cols[0][u * c + v].clone();
+        let s_cols = Self::partition(staged, false, p);
+        let st_cols = Self::partition(staged, true, p);
 
-        let a_rep = prob.a.block(block_range(m, c, v), slice.clone());
-        let b_rep = prob.b.block(block_range(n, c, v), slice.clone());
-        let a_stat = (0..q)
-            .map(|w| prob.a.block(block_range(m, p, w * c + v), slice.clone()))
-            .collect();
-        let b_stat = (0..q)
-            .map(|w| prob.b.block(block_range(n, p, w * c + v), slice.clone()))
-            .collect();
+        let view = PlanView::of(
+            KernelId::Family(AlgorithmFamily::SparseShift15),
+            c,
+            p,
+            prob.dims,
+        );
+        let stationary = |side, x: &Mat| -> Vec<Mat> {
+            let layout = view.iterate_layout(side, g);
+            (layout.row_ranges.iter())
+                .map(|rr| x.block(rr.clone(), layout.col_range.clone()))
+                .collect()
+        };
         SparseShift15 {
             gc,
-            dims: prob.dims,
-            s_home,
-            st_home,
-            a_rep,
-            b_rep,
-            a_stat,
-            b_stat,
+            view,
+            s_home: s_cols[0][g].clone(),
+            st_home: st_cols[0][g].clone(),
+            a_rep: view.fiber_layout(Side::A, g).extract(&prob.a),
+            b_rep: view.fiber_layout(Side::B, g).extract(&prob.b),
+            a_stat: stationary(Side::A, &prob.a),
+            b_stat: stationary(Side::B, &prob.b),
             r_vals: None,
             route_a: None,
             route_b: None,
@@ -130,26 +123,12 @@ impl SparseShift15 {
         }
     }
 
-    /// Resolve this worker's local-kernel variants against the shared
-    /// tuning cache, microbenchmarking on this rank's home `S` block
-    /// when the shape class is new. COO blocks only admit the serial
-    /// naive/blocked pair, and the family has no local fused kernel, so
-    /// the fused pick stays naive. Wall time lands in
-    /// [`Phase::LocalTuning`]; no communication, no flop accounting.
-    pub(crate) fn tune_local(&mut self, staged: &StagedProblem, comm: &Comm, c: usize) {
-        let _t = comm.phase(Phase::LocalTuning);
-        let tuning = staged.local_tuning();
-        let (p, dims, nnz) = (comm.size(), self.dims, staged.prob.nnz());
-        let req = |op| {
-            crate::kernel::local_tune_request(AlgorithmFamily::SparseShift15, op, p, c, dims, nnz)
-        };
-        let blk = &self.s_home;
-        self.local = kern::LocalPicks {
-            spmm: tuning.tune_coo(req(kern::LocalOp::Spmm), blk),
-            spmm_t: tuning.tune_coo(req(kern::LocalOp::SpmmT), blk),
-            sddmm: tuning.tune_coo(req(kern::LocalOp::Sddmm), blk),
-            fused: kern::LocalKernel::Naive,
-        };
+    /// The block the builder tunes on (this rank's home `S` block) and
+    /// the local ops this family runs. COO blocks only admit the serial
+    /// naive/blocked pair, and the family has no local fused kernel.
+    pub(crate) fn tune_target(&self) -> (TuneBlock<'_>, &'static [kern::LocalOp]) {
+        use kern::LocalOp::*;
+        (TuneBlock::Coo(&self.s_home), &[Spmm, SpmmT, Sddmm])
     }
 
     /// The need sets a pattern-routed plan requires, derived world-free
@@ -160,14 +139,12 @@ impl SparseShift15 {
     /// falling in fiber member `vv`'s replicate block of `A` (rows over
     /// `m`, indices block-local); `secondary` is the same for the
     /// transposed, `B`-replicating paths (rows over `n`).
-    pub fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
+    pub(crate) fn derive_needs(staged: &StagedProblem, p: usize, c: usize) -> PlanPatterns {
         let grid = Grid15::new(p, c).expect("invalid 1.5D grid");
         let q = grid.layer_size();
         let (m, n) = (staged.prob.dims.m, staged.prob.dims.n);
-        let col_blocks: Vec<_> = (0..p).map(|j| block_range(n, p, j)).collect();
-        let s_cols = staged.partition(false, std::slice::from_ref(&(0..m)), &col_blocks);
-        let col_blocks_t: Vec<_> = (0..p).map(|j| block_range(m, p, j)).collect();
-        let st_cols = staged.partition(true, std::slice::from_ref(&(0..n)), &col_blocks_t);
+        let s_cols = Self::partition(staged, false, p);
+        let st_cols = Self::partition(staged, true, p);
 
         let ring_union = |cols: &[CooMatrix], v: usize| {
             let mut rows: Vec<u32> = Vec::new();
@@ -203,11 +180,20 @@ impl SparseShift15 {
         }
     }
 
+    /// The staged partition of `S` (`Sᵀ` when `transposed`) into `p`
+    /// full-height column blocks.
+    fn partition(staged: &StagedProblem, transposed: bool, p: usize) -> Arc<Vec<Vec<CooMatrix>>> {
+        let d = staged.prob.dims;
+        let (rows, cols) = if transposed { (d.n, d.m) } else { (d.m, d.n) };
+        let col_blocks: Vec<_> = (0..p).map(|j| block_range(cols, p, j)).collect();
+        staged.partition(transposed, std::slice::from_ref(&(0..rows)), &col_blocks)
+    }
+
     /// Switch replication to pattern routing: exchange this rank's need
     /// sets over the fiber (charged to `Phase::PatternExchange`) and
     /// keep the resulting patterns for every later all-gather.
-    pub fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
-        let g = self.gc.grid.rank_of(self.gc.u, self.gc.v);
+    pub(crate) fn enable_pattern_routing(&mut self, pats: &PlanPatterns) {
+        let g = self.me();
         self.route_a = Some(CommPattern::exchange(
             &self.gc.fiber,
             pats.primary[g].clone(),
@@ -219,61 +205,28 @@ impl SparseShift15 {
         self.route_b = Some(CommPattern::exchange(&self.gc.fiber, sec[g].clone()));
     }
 
-    /// Problem dimensions.
-    pub fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
     fn q(&self) -> usize {
         self.gc.grid.layer_size()
     }
 
-    /// Replicate layout of a `rows × r` matrix (the side that gets
-    /// all-gathered along fibers).
-    pub fn replicate_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let q = p / c;
-        move |g| {
-            let (u, v) = (g / c, g % c);
-            DenseLayout::single(block_range(rows, c, v), block_range(r, q, u))
-        }
+    /// This rank's position in the world communicator.
+    fn me(&self) -> usize {
+        self.gc.grid.rank_of(self.gc.u, self.gc.v)
     }
 
-    /// Stationary layout of a `rows × r` matrix (the side the traveling
-    /// sparse blocks address directly).
-    pub fn stationary_layout(
-        rows: usize,
-        r: usize,
-        p: usize,
-        c: usize,
-    ) -> impl Fn(usize) -> DenseLayout {
-        let q = p / c;
-        move |g| {
-            let (u, v) = (g / c, g % c);
-            DenseLayout {
-                row_ranges: (0..q).map(|w| block_range(rows, p, w * c + v)).collect(),
-                col_range: block_range(r, q, u),
-            }
-        }
-    }
-
-    /// Split a stacked stationary-layout matrix into its per-slot
-    /// blocks.
-    fn split_stationary(&self, total_rows: usize, stacked: &Mat) -> Vec<Mat> {
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        let mut out = Vec::with_capacity(self.q());
+    /// Split a stacked stationary-layout `side` operand into its
+    /// per-slot blocks.
+    fn split_stationary(&self, side: Side, stacked: &Mat) -> Vec<Mat> {
         let mut off = 0;
-        for w in 0..self.q() {
-            let len = block_range(total_rows, p, w * c + v).len();
-            out.push(stacked.rows_block(off..off + len));
-            off += len;
-        }
+        let layout = self.view.iterate_layout(side, self.me());
+        let blocks = (layout.row_ranges.iter())
+            .map(|rr| {
+                off += rr.len();
+                stacked.rows_block(off - rr.len()..off)
+            })
+            .collect();
         debug_assert_eq!(off, stacked.nrows());
-        out
+        blocks
     }
 
     /// All-gather a replicate-layout panel along the fiber into the full
@@ -342,7 +295,7 @@ impl SparseShift15 {
         let pipe = self.pipeline();
         let mut blk = home.clone();
         blk.vals.fill(0.0);
-        let slice = block_range(self.dims.r, q, self.gc.u);
+        let slice = block_range(self.view.dims.r, q, self.gc.u);
         for t in 0..q {
             let w = self.slot(t);
             // Detach the accumulating value array from the traveling
@@ -366,19 +319,14 @@ impl SparseShift15 {
     }
 
     /// SpMM propagation round: the home block travels with `vals`,
-    /// scattering `blkᵀ·X` into the stationary output blocks; returns
-    /// the stacked stationary-layout result.
-    fn scatter_round(
-        &self,
-        home: &CooMatrix,
-        vals: Vec<f64>,
-        x_full: &Mat,
-        out_rows_of: impl Fn(usize) -> usize,
-    ) -> Mat {
+    /// scattering `blkᵀ·X` into the stationary `out`-side blocks;
+    /// returns the stacked stationary-layout result.
+    fn scatter_round(&self, home: &CooMatrix, vals: Vec<f64>, x_full: &Mat, out: Side) -> Mat {
         let q = self.q();
         let slice_w = x_full.ncols();
-        let mut outs: Vec<Mat> = (0..q)
-            .map(|w| Mat::zeros(out_rows_of(w), slice_w))
+        let layout = self.view.iterate_layout(out, self.me());
+        let mut outs: Vec<Mat> = (layout.row_ranges.iter())
+            .map(|rr| Mat::zeros(rr.len(), slice_w))
             .collect();
         let mut blk = home.clone();
         blk.vals = vals;
@@ -396,49 +344,6 @@ impl SparseShift15 {
         Mat::vstack(&outs)
     }
 
-    fn finalize(home: &CooMatrix, mut vals: Vec<f64>, sampling: Sampling) -> Vec<f64> {
-        if let Sampling::Values = sampling {
-            kern::apply_sampling(&mut vals, &home.vals);
-        }
-        vals
-    }
-
-    // ------------------------------------------------------------------
-    // Public kernels
-    // ------------------------------------------------------------------
-
-    /// Distributed SDDMM (replicates `A`, travels `S`); the result stays
-    /// on the home block ([`SparseShift15::gather_r`] retrieves it).
-    pub fn sddmm(&mut self) {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, &CombineSpec::Dot);
-        self.r_vals = Some(Self::finalize(&self.s_home, dots, Sampling::Values));
-    }
-
-    /// Distributed SpMMB: `Sᵀ·A` (or `Rᵀ·A`), returned in the
-    /// stationary `B` layout.
-    pub fn spmm_b(&mut self, use_r: bool) -> Mat {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let vals = self.vals_for_travel(use_r);
-        let n = self.dims.n;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        self.scatter_round(&self.s_home, vals, &t_a, |w| {
-            block_range(n, p, w * c + v).len()
-        })
-    }
-
-    /// Distributed SpMMA: `S·B` via the transposed roles (replicates
-    /// `B`, travels `Sᵀ`), returned in the stationary `A` layout.
-    pub fn spmm_a(&mut self) -> Mat {
-        let t_b = self.replicate(&self.b_rep, self.dims.n, self.route_b.as_ref());
-        let vals = self.st_home.vals.clone();
-        let m = self.dims.m;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        self.scatter_round(&self.st_home, vals, &t_b, |w| {
-            block_range(m, p, w * c + v).len()
-        })
-    }
-
     fn vals_for_travel(&self, use_r: bool) -> Vec<f64> {
         if use_r {
             self.r_vals
@@ -449,118 +354,157 @@ impl SparseShift15 {
         }
     }
 
-    /// FusedMMB = `SpMMB(SDDMM(A, y, S), A)`. `y` (stationary `B`
-    /// layout, stacked) defaults to the stored `B`; the result is in the
-    /// same stationary layout.
-    pub fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let y_stat: Vec<Mat> = match y {
-            Some(st) => self.split_stationary(self.dims.n, st),
-            None => self.b_stat.clone(),
+    /// FusedMM in either orientation: replicate `x_rep` (routed unless
+    /// the schedule reuses the replica), accumulate dots of the traveling
+    /// `home` block against the stationary `y_stat`, then scatter into
+    /// the stationary `out` side.
+    #[allow(clippy::too_many_arguments)]
+    fn fused(
+        &self,
+        home: &CooMatrix,
+        x_rep: &Mat,
+        x_rows: usize,
+        route: Option<&CommPattern>,
+        y_stat: &[Mat],
+        out: Side,
+        elision: Elision,
+        sampling: Sampling,
+    ) -> Mat {
+        let reuse = match elision {
+            Elision::ReplicationReuse => true,
+            Elision::None => false,
+            Elision::LocalKernelFusion => panic!(
+                "local kernel fusion requires co-located full rows; \
+                 unsupported for 1.5D sparse shifting"
+            ),
         };
-        let n = self.dims.n;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_a = self.replicate(&self.a_rep, self.dims.m, None);
-                let dots = self.dots_round(&self.s_home, &t_a, &y_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.s_home, dots, sampling);
-                self.scatter_round(&self.s_home, rvals, &t_a, |w| {
-                    block_range(n, p, w * c + v).len()
-                })
-            }
-            Elision::None => {
-                let route = self.route_a.as_ref();
-                let t_a = self.replicate(&self.a_rep, self.dims.m, route);
-                let dots = self.dots_round(&self.s_home, &t_a, &y_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.s_home, dots, sampling);
-                // Unoptimized: the SpMMB call replicates A again.
-                let t_a2 = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-                self.scatter_round(&self.s_home, rvals, &t_a2, |w| {
-                    block_range(n, p, w * c + v).len()
-                })
-            }
-            Elision::LocalKernelFusion => {
-                panic!(
-                    "local kernel fusion requires co-located full rows; \
-                     unsupported for 1.5D sparse shifting"
-                )
-            }
-        }
+        let route = if reuse { None } else { route };
+        let t_x = self.replicate(x_rep, x_rows, route);
+        let dots = self.dots_round(home, &t_x, y_stat, &CombineSpec::Dot);
+        let rvals = sample(dots, &home.vals, sampling);
+        // Unoptimized: the second kernel replicates its input again.
+        let t_x2 = if reuse {
+            t_x
+        } else {
+            self.replicate(x_rep, x_rows, route)
+        };
+        self.scatter_round(home, rvals, &t_x2, out)
     }
 
-    /// FusedMMA = `SpMMA(SDDMM(x, B, S), B)` via transposed roles
-    /// (replicate `B`, travel `Sᵀ`). `x` (stationary `A` layout,
-    /// stacked) defaults to the stored `A`; same layout out.
-    pub fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        let x_stat: Vec<Mat> = match x {
-            Some(st) => self.split_stationary(self.dims.m, st),
-            None => self.a_stat.clone(),
-        };
-        let m = self.dims.m;
-        let (p, c, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.v);
-        match elision {
-            Elision::ReplicationReuse => {
-                let t_b = self.replicate(&self.b_rep, self.dims.n, None);
-                let dots = self.dots_round(&self.st_home, &t_b, &x_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.st_home, dots, sampling);
-                self.scatter_round(&self.st_home, rvals, &t_b, |w| {
-                    block_range(m, p, w * c + v).len()
-                })
-            }
-            Elision::None => {
-                let route = self.route_b.as_ref();
-                let t_b = self.replicate(&self.b_rep, self.dims.n, route);
-                let dots = self.dots_round(&self.st_home, &t_b, &x_stat, &CombineSpec::Dot);
-                let rvals = Self::finalize(&self.st_home, dots, sampling);
-                let t_b2 = self.replicate(&self.b_rep, self.dims.n, self.route_b.as_ref());
-                self.scatter_round(&self.st_home, rvals, &t_b2, |w| {
-                    block_range(m, p, w * c + v).len()
-                })
-            }
-            Elision::LocalKernelFusion => {
-                panic!(
-                    "local kernel fusion requires co-located full rows; \
-                     unsupported for 1.5D sparse shifting"
-                )
-            }
-        }
+    /// Global `(row, col)` of every stored R value, in `r_vals` order.
+    fn r_coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let col0 = self.view.r_bounds_of(self.me()).1.start;
+        self.s_home.iter().map(move |(i, j, _)| (i, col0 + j))
+    }
+}
+
+impl DistKernel for SparseShift15 {
+    fn id(&self) -> KernelId {
+        KernelId::Family(AlgorithmFamily::SparseShift15)
     }
 
-    // ------------------------------------------------------------------
-    // GAT support and verification
-    // ------------------------------------------------------------------
+    fn view(&self) -> PlanView {
+        self.view
+    }
 
-    /// Generalized SDDMM storing raw accumulations as R values.
-    pub fn sddmm_general(&mut self, combine: CombineSpec) {
-        let t_a = self.replicate(&self.a_rep, self.dims.m, self.route_a.as_ref());
-        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, &combine);
+    /// Distributed SDDMM (replicates `A`, travels `S`); the result stays
+    /// on the home block.
+    fn sddmm(&mut self) {
+        let t_a = self.replicate(&self.a_rep, self.view.dims.m, self.route_a.as_ref());
+        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, &CombineSpec::Dot);
+        self.r_vals = Some(sample(dots, &self.s_home.vals, Sampling::Values));
+    }
+
+    fn sddmm_general(&mut self, combine: &CombineSpec) {
+        let t_a = self.replicate(&self.a_rep, self.view.dims.m, self.route_a.as_ref());
+        let dots = self.dots_round(&self.s_home, &t_a, &self.b_stat, combine);
         self.r_vals = Some(dots);
     }
 
-    /// Map every stored R value in place.
-    pub fn map_r(&mut self, mut f: impl FnMut(f64) -> f64) {
+    /// `S·B` via the transposed roles (replicates `B`, travels `Sᵀ`),
+    /// returned in the stationary `A` layout.
+    fn spmm_a(&mut self, use_r: bool) -> Mat {
+        assert!(
+            !use_r,
+            "1.5D sparse shifting holds R on the S-oriented home block; \
+             use spmm_a_with for R·B (replicate-A layout output)"
+        );
+        let t_b = self.replicate(&self.b_rep, self.view.dims.n, self.route_b.as_ref());
+        self.scatter_round(&self.st_home, self.st_home.vals.clone(), &t_b, Side::A)
+    }
+
+    /// `Sᵀ·A` (or `Rᵀ·A`), returned in the stationary `B` layout.
+    fn spmm_b(&mut self, use_r: bool) -> Mat {
+        let t_a = self.replicate(&self.a_rep, self.view.dims.m, self.route_a.as_ref());
+        let vals = self.vals_for_travel(use_r);
+        self.scatter_round(&self.s_home, vals, &t_a, Side::B)
+    }
+
+    /// FusedMMA via transposed roles (replicate `B`, travel `Sᵀ`); `x`
+    /// and the result are in the stacked stationary `A` layout.
+    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let x_stat: Vec<Mat> = match x {
+            Some(st) => self.split_stationary(Side::A, st),
+            None => self.a_stat.clone(),
+        };
+        let (n, route) = (self.view.dims.n, self.route_b.as_ref());
+        self.fused(
+            &self.st_home,
+            &self.b_rep,
+            n,
+            route,
+            &x_stat,
+            Side::A,
+            elision,
+            sampling,
+        )
+    }
+
+    /// FusedMMB (replicate `A`, travel `S`); `y` and the result are in
+    /// the stacked stationary `B` layout.
+    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
+        let y_stat: Vec<Mat> = match y {
+            Some(st) => self.split_stationary(Side::B, st),
+            None => self.b_stat.clone(),
+        };
+        let (m, route) = (self.view.dims.m, self.route_a.as_ref());
+        self.fused(
+            &self.s_home,
+            &self.a_rep,
+            m,
+            route,
+            &y_stat,
+            Side::B,
+            elision,
+            sampling,
+        )
+    }
+
+    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
         let r = self.r_vals.as_mut().expect("no R values");
         for v in r.iter_mut() {
             *v = f(*v);
         }
     }
 
-    /// Global row sums of R (length `m`; world all-reduce, charged to
-    /// `comm_phase`).
-    pub fn r_row_sums(&self, comm: &Comm, comm_phase: Phase) -> Vec<f64> {
+    /// Global row sums of R (length `m`; world all-reduce).
+    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
         let r = self.r_vals.as_ref().expect("no R values");
-        let mut sums = vec![0.0; self.dims.m];
+        let mut sums = vec![0.0; self.view.dims.m];
         for (k, (i, _, _)) in self.s_home.iter().enumerate() {
             sums[i] += r[k];
         }
-        let _ph = comm.phase(comm_phase);
+        let _ph = comm.phase(phase);
         comm.allreduce_sum(&mut sums);
         sums
     }
 
-    /// Scale R values by a per-global-row factor.
-    pub fn scale_r_rows(&mut self, scale: &[f64]) {
-        assert_eq!(scale.len(), self.dims.m, "need one factor per global row");
+    fn scale_r_rows(&mut self, scale: &[f64]) {
+        assert_eq!(
+            scale.len(),
+            self.view.dims.m,
+            "need one factor per global row"
+        );
         let r = self.r_vals.as_mut().expect("no R values");
         for (k, (i, _, _)) in self.s_home.iter().enumerate() {
             r[k] *= scale[i];
@@ -571,14 +515,12 @@ impl SparseShift15 {
     /// operand: accumulates the full `m × slice` panel locally, then
     /// reduce-scatters along the fiber into the replicate `A` layout
     /// (GAT's convolution step).
-    pub fn spmm_a_from_r(&self, y: Option<&Mat>) -> Mat {
-        let y_stat: Vec<Mat> = match y {
-            Some(st) => self.split_stationary(self.dims.n, st),
-            None => self.b_stat.clone(),
-        };
+    fn spmm_a_with(&self, y: &Mat) -> Mat {
+        let y_stat = self.split_stationary(Side::B, y);
         let q = self.q();
-        let slice = block_range(self.dims.r, q, self.gc.u);
-        let mut t_full = Mat::zeros(self.dims.m, slice.len());
+        let m = self.view.dims.m;
+        let slice = block_range(self.view.dims.r, q, self.gc.u);
+        let mut t_full = Mat::zeros(m, slice.len());
         let mut blk = self.s_home.clone();
         blk.vals = self.r_vals.clone().expect("no R values");
         let pipe = self.pipeline();
@@ -598,7 +540,7 @@ impl SparseShift15 {
         let w = slice.len();
         let ranges: Vec<std::ops::Range<usize>> = (0..c)
             .map(|vv| {
-                let rr = block_range(self.dims.m, c, vv);
+                let rr = block_range(m, c, vv);
                 rr.start * w..rr.end * w
             })
             .collect();
@@ -606,375 +548,68 @@ impl SparseShift15 {
             .gc
             .fiber
             .reduce_scatter_sum_ranges(t_full.as_slice(), &ranges);
-        let rows = block_range(self.dims.m, c, self.gc.v).len();
+        let rows = block_range(m, c, self.gc.v).len();
         debug_assert!(w == 0 || mine.len() / w == rows);
         Mat::from_vec(rows, w, mine)
     }
 
-    /// The stored stationary-layout `A` as one stacked matrix.
-    pub fn a_stationary_stacked(&self) -> Mat {
-        Mat::vstack(&self.a_stat)
-    }
-
-    /// The stored stationary-layout `B` as one stacked matrix.
-    pub fn b_stationary_stacked(&self) -> Mat {
-        Mat::vstack(&self.b_stat)
-    }
-
-    /// Replace the stored `A` operand: `rep` in the replicate layout,
-    /// `stat_stacked` in the stationary layout (both must be supplied so
-    /// every code path sees the update). The [`DistKernel::set_a`]
-    /// implementation derives `rep` by repartitioning.
-    pub fn set_a_parts(&mut self, rep: Mat, stat_stacked: &Mat) {
-        self.a_rep = rep;
-        self.a_stat = self.split_stationary(self.dims.m, stat_stacked);
-    }
-
-    /// Replace the stored `B` operand (see
-    /// [`SparseShift15::set_a_parts`]).
-    pub fn set_b_parts(&mut self, rep: Mat, stat_stacked: &Mat) {
-        self.b_rep = rep;
-        self.b_stat = self.split_stationary(self.dims.n, stat_stacked);
-    }
-
-    /// Local contribution to `‖S − dots‖²` after
-    /// [`SparseShift15::sddmm_general`] (ALS squared loss).
-    pub fn sq_loss_local(&self) -> f64 {
-        let r = self.r_vals.as_ref().expect("no R values");
-        self.s_home
-            .vals
-            .iter()
-            .zip(r)
-            .map(|(s, d)| (s - d) * (s - d))
-            .sum()
-    }
-
-    /// Gather the SDDMM result to rank 0 in global coordinates.
-    pub fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        let local = self.export_r_local().expect("no SDDMM result");
-        crate::layout::gather_coo(comm, 0, local, self.dims.m, self.dims.n)
-    }
-
-    /// The local R values as global-coordinate triplets (`None` before
-    /// any SDDMM).
-    fn export_r_local(&self) -> Option<CooMatrix> {
-        let r_vals = self.r_vals.as_ref()?;
-        let (p, c, u, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.u, self.gc.v);
-        let (m, n) = (self.dims.m, self.dims.n);
-        let col_start = block_range(n, p, u * c + v).start;
-        let mut local = CooMatrix::empty(m, n);
-        for (k, (i, j, _)) in self.s_home.iter().enumerate() {
-            local.push(i, col_start + j, r_vals[k]);
-        }
-        Some(local)
-    }
-}
-
-impl DistKernel for SparseShift15 {
-    fn id(&self) -> KernelId {
-        KernelId::Family(AlgorithmFamily::SparseShift15)
-    }
-
-    fn dims(&self) -> ProblemDims {
-        self.dims
-    }
-
-    fn supports(&self, elision: Elision) -> bool {
-        AlgorithmFamily::SparseShift15.supports(elision)
-    }
-
-    fn sddmm(&mut self) {
-        SparseShift15::sddmm(self);
-    }
-
-    fn sddmm_general(&mut self, combine: &CombineSpec) {
-        SparseShift15::sddmm_general(self, combine.clone());
-    }
-
-    fn spmm_a(&mut self, use_r: bool) -> Mat {
-        assert!(
-            !use_r,
-            "1.5D sparse shifting holds R on the S-oriented home block; \
-             use spmm_a_with for R·B (replicate-A layout output)"
-        );
-        SparseShift15::spmm_a(self)
-    }
-
-    fn spmm_b(&mut self, use_r: bool) -> Mat {
-        SparseShift15::spmm_b(self, use_r)
-    }
-
-    fn fused_mm_a(&mut self, x: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseShift15::fused_mm_a(self, x, elision, sampling)
-    }
-
-    fn fused_mm_b(&mut self, y: Option<&Mat>, elision: Elision, sampling: Sampling) -> Mat {
-        SparseShift15::fused_mm_b(self, y, elision, sampling)
-    }
-
-    fn map_r(&mut self, f: &mut dyn FnMut(f64) -> f64) {
-        SparseShift15::map_r(self, f);
-    }
-
-    fn r_row_sums(&self, comm: &Comm, phase: Phase) -> Vec<f64> {
-        SparseShift15::r_row_sums(self, comm, phase)
-    }
-
-    fn scale_r_rows(&mut self, scale: &[f64]) {
-        SparseShift15::scale_r_rows(self, scale);
-    }
-
-    fn spmm_a_with(&self, y: &Mat) -> Mat {
-        self.spmm_a_from_r(Some(y))
-    }
-
     fn sq_loss_local(&self) -> f64 {
-        SparseShift15::sq_loss_local(self)
-    }
-
-    fn gather_r(&self, comm: &Comm) -> Option<CooMatrix> {
-        SparseShift15::gather_r(self, comm)
+        sq_diff(
+            &self.s_home.vals,
+            self.r_vals.as_ref().expect("no R values"),
+        )
     }
 
     fn export_r(&self) -> Option<CooMatrix> {
-        self.export_r_local()
-    }
-
-    fn r_pattern_bounds_of(&self, g: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        // Rank g's home block is column block u·c + v = g of S, with
-        // global rows.
-        (0..self.dims.m, block_range(self.dims.n, self.gc.grid.p, g))
+        let r_vals = self.r_vals.as_ref()?;
+        Some(export_triplets(self.view.dims, self.r_coords(), r_vals))
     }
 
     fn import_r(&mut self, r: &CooMatrix) {
-        let map = crate::layout::triplet_map(r);
-        let (p, c, u, v) = (self.gc.grid.p, self.gc.grid.c, self.gc.u, self.gc.v);
-        let col_start = block_range(self.dims.n, p, u * c + v).start as u32;
-        let vals: Vec<f64> = self
-            .s_home
-            .iter()
-            .map(|(i, j, _)| {
-                *map.get(&(i as u32, col_start + j as u32))
-                    .expect("imported R misses a local pattern nonzero")
-            })
-            .collect();
-        self.r_vals = Some(vals);
+        self.r_vals = Some(import_values(r, self.r_coords()));
     }
 
     fn a_iterate(&self) -> Mat {
-        self.a_stationary_stacked()
+        Mat::vstack(&self.a_stat)
     }
 
     fn b_iterate(&self) -> Mat {
-        self.b_stationary_stacked()
+        Mat::vstack(&self.b_stat)
     }
 
     fn set_a(&mut self, comm: &Comm, x: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let rep = {
+        let view = self.view;
+        self.a_rep = {
             let _ph = comm.phase(Phase::OutsideComm);
             repartition_dense(
                 comm,
                 x,
-                Self::stationary_layout(dims.m, dims.r, p, c),
-                Self::replicate_layout(dims.m, dims.r, p, c),
+                |g| view.iterate_layout(Side::A, g),
+                |g| view.fiber_layout(Side::A, g),
             )
         };
-        self.set_a_parts(rep, x);
+        self.a_stat = self.split_stationary(Side::A, x);
     }
 
     fn set_b(&mut self, comm: &Comm, y: &Mat) {
-        let (dims, p, c) = (self.dims, self.gc.grid.p, self.gc.grid.c);
-        let rep = {
+        let view = self.view;
+        self.b_rep = {
             let _ph = comm.phase(Phase::OutsideComm);
             repartition_dense(
                 comm,
                 y,
-                Self::stationary_layout(dims.n, dims.r, p, c),
-                Self::replicate_layout(dims.n, dims.r, p, c),
+                |g| view.iterate_layout(Side::B, g),
+                |g| view.fiber_layout(Side::B, g),
             )
         };
-        self.set_b_parts(rep, y);
+        self.b_stat = self.split_stationary(Side::B, y);
     }
 
     fn rhs_a(&mut self, _comm: &Comm) -> Mat {
-        SparseShift15::spmm_a(self)
+        self.spmm_a(false)
     }
 
     fn rhs_b(&mut self, _comm: &Comm) -> Mat {
-        SparseShift15::spmm_b(self, false)
-    }
-
-    fn a_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::stationary_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn b_iterate_layout_of(&self, g: usize) -> DenseLayout {
-        Self::stationary_layout(self.dims.n, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn spmm_a_with_layout_of(&self, g: usize) -> DenseLayout {
-        Self::replicate_layout(self.dims.m, self.dims.r, self.gc.grid.p, self.gc.grid.c)(g)
-    }
-
-    fn row_group_a(&self, g: usize) -> u64 {
-        // Stationary layouts are shared by the layer (same fiber
-        // coordinate v = g % c).
-        (g % self.gc.grid.c) as u64
-    }
-
-    fn row_group_b(&self, g: usize) -> u64 {
-        (g % self.gc.grid.c) as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsk_comm::{MachineModel, SimWorld};
-    use dsk_dense::ops::max_abs_diff;
-    use std::sync::Arc;
-
-    #[test]
-    fn sddmm_matches_reference() {
-        for (p, c) in [(4, 1), (4, 2), (8, 2), (6, 3), (8, 8)] {
-            let (m, n, r) = (26, 22, 8);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 51));
-            let expect = prob.reference_sddmm().to_coo().to_dense();
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
-                worker.sddmm();
-                worker.gather_r(comm)
-            });
-            let got = out[0].value.as_ref().unwrap().to_dense();
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-9, "sddmm mismatch p={p} c={c}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_b_matches_reference() {
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let (p, c, m, n, r) = (6, 2, 20, 24, 7);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 52));
-            let expect = prob.reference_fused_b();
-            let layout = SparseShift15::stationary_layout(n, r, p, c);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
-                let got = worker.fused_mm_b(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, n, r)
-            });
-            let got = out[0].value.as_ref().unwrap();
-            assert!(
-                max_abs_diff(got, &expect) < 1e-9,
-                "fused_mm_b mismatch elision={elision:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn fused_a_matches_reference() {
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let (p, c, m, n, r) = (8, 2, 26, 18, 8);
-            let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 53));
-            let expect = prob.reference_fused_a();
-            let layout = SparseShift15::stationary_layout(m, r, p, c);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &prob);
-                let got = worker.fused_mm_a(None, elision, Sampling::Values);
-                crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
-            });
-            let got = out[0].value.as_ref().unwrap();
-            assert!(
-                max_abs_diff(got, &expect) < 1e-9,
-                "fused_mm_a mismatch elision={elision:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn spmm_kernels_match_reference() {
-        let (p, c, m, n, r) = (4, 2, 17, 23, 6);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 54));
-        let ea = prob.reference_spmm_a();
-        let eb = prob.reference_spmm_b();
-        let la = SparseShift15::stationary_layout(m, r, p, c);
-        let lb = SparseShift15::stationary_layout(n, r, p, c);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
-            let ga = worker.spmm_a();
-            let gb = worker.spmm_b(false);
-            (
-                crate::layout::gather_dense(comm, 0, &ga, &la, m, r),
-                crate::layout::gather_dense(comm, 0, &gb, &lb, n, r),
-            )
-        });
-        let (ga, gb) = &out[0].value;
-        assert!(max_abs_diff(ga.as_ref().unwrap(), &ea) < 1e-9);
-        assert!(max_abs_diff(gb.as_ref().unwrap(), &eb) < 1e-9);
-    }
-
-    #[test]
-    fn spmm_a_from_r_matches_reference() {
-        // R·B where R = SDDMM(A,B,S), output in the replicate A layout.
-        let (p, c, m, n, r) = (6, 3, 24, 21, 6);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 55));
-        let expect = prob.reference_fused_a();
-        let layout = SparseShift15::replicate_layout(m, r, p, c);
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
-            worker.sddmm();
-            let got = worker.spmm_a_from_r(None);
-            crate::layout::gather_dense(comm, 0, &got, &layout, m, r)
-        });
-        assert!(max_abs_diff(out[0].value.as_ref().unwrap(), &expect) < 1e-9);
-    }
-
-    #[test]
-    fn sparse_shift_words_are_3_per_nonzero() {
-        let (p, c, m, n, r) = (8, 2, 32, 32, 8);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 4, 56));
-        let nnz = prob.nnz();
-        let w = SimWorld::new(p, MachineModel::bandwidth_only());
-        let out = w.run(move |comm| {
-            let mut worker = SparseShift15::from_global(comm, c, &prob);
-            let _ = worker.fused_mm_b(None, Elision::ReplicationReuse, Sampling::Values);
-        });
-        // Two rounds of q shifts each; every shift carries one column
-        // block at 3 words per nonzero. Total across all ranks and
-        // steps: 2 · q · 3 · nnz.
-        let q = p / c;
-        let total: u64 = out
-            .iter()
-            .map(|o| o.stats.phase(Phase::Propagation).words_sent)
-            .sum();
-        assert_eq!(total, (2 * q * 3 * nnz) as u64);
-    }
-
-    #[test]
-    fn reuse_halves_replication_volume() {
-        let (p, c, m, n, r) = (8, 4, 32, 32, 8);
-        let prob = Arc::new(GlobalProblem::erdos_renyi(m, n, r, 3, 57));
-        let mut repl_words = Vec::new();
-        for elision in [Elision::None, Elision::ReplicationReuse] {
-            let pr = Arc::clone(&prob);
-            let w = SimWorld::new(p, MachineModel::bandwidth_only());
-            let out = w.run(move |comm| {
-                let mut worker = SparseShift15::from_global(comm, c, &pr);
-                let _ = worker.fused_mm_b(None, elision, Sampling::Values);
-            });
-            let total: u64 = out
-                .iter()
-                .map(|o| o.stats.phase(Phase::Replication).words_sent)
-                .sum();
-            repl_words.push(total);
-        }
-        assert_eq!(repl_words[0], 2 * repl_words[1]);
+        self.spmm_b(false)
     }
 }

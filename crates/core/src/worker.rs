@@ -17,7 +17,6 @@ use dsk_comm::Comm;
 use crate::common::{AlgorithmFamily, Routing};
 use crate::global::GlobalProblem;
 use crate::kernel::{DistKernel, KernelBuilder, KernelId, KernelPlan};
-use crate::staged::StagedProblem;
 
 /// A per-rank worker for any distributed kernel, with the plan it was
 /// built from.
@@ -46,22 +45,6 @@ impl DistWorker {
         prob: &GlobalProblem,
     ) -> Self {
         KernelBuilder::new(prob)
-            .family(family)
-            .replication(c)
-            .routing(Routing::Dense)
-            .build(comm)
-    }
-
-    /// Build from shared staging (the benchmark path: the expensive
-    /// sparse partition is computed once per world, not once per rank).
-    /// Dense-routed, like [`DistWorker::from_global`].
-    pub fn from_staged(
-        comm: &Comm,
-        family: AlgorithmFamily,
-        c: usize,
-        staged: &StagedProblem,
-    ) -> Self {
-        KernelBuilder::from_staged(staged)
             .family(family)
             .replication(c)
             .routing(Routing::Dense)
