@@ -25,27 +25,12 @@ fn main() {
                 kern::spmm_csr_acc(&mut out, &s, &b)
             });
         }
-        {
-            let mut out = Mat::zeros(s.nrows(), r);
-            case("spmm", &format!("parallel/r={r}"), Some(spmm_flops), || {
-                kern::par_spmm_csr_acc(&mut out, &s, &b)
-            });
-        }
         let sddmm_flops = kern::sddmm_flops(s.nnz(), r);
         {
             let mut acc = vec![0.0; s.nnz()];
             case("sddmm", &format!("serial/r={r}"), Some(sddmm_flops), || {
                 kern::sddmm_csr_acc(&mut acc, &s, &a, &b)
             });
-        }
-        {
-            let mut acc = vec![0.0; s.nnz()];
-            case(
-                "sddmm",
-                &format!("parallel/r={r}"),
-                Some(sddmm_flops),
-                || kern::sddmm::par_sddmm_csr_acc(&mut acc, &s, &a, &b),
-            );
         }
         let fused_flops = kern::fused_flops(s.nnz(), r);
         {
@@ -55,15 +40,6 @@ fn main() {
                 &format!("fused/r={r}"),
                 Some(fused_flops),
                 || kern::fused_a_csr(&mut out, &s, &a, &b),
-            );
-        }
-        {
-            let mut out = Mat::zeros(s.nrows(), r);
-            case(
-                "fused_local",
-                &format!("parallel/r={r}"),
-                Some(fused_flops),
-                || kern::par_fused_a_csr(&mut out, &s, &a, &b),
             );
         }
         {
@@ -80,11 +56,11 @@ fn main() {
                 },
             );
         }
-        // The full variant library for the two ops with the widest
-        // admissible sets: row-major SpMM and the transpose scatter.
+        // The variant library on the two SpMM forms: row-major gather
+        // and the transpose scatter.
         for op in [kern::LocalOp::Spmm, kern::LocalOp::SpmmT] {
             let mut out = Mat::zeros(s.nrows(), r);
-            for &v in kern::LocalKernel::admissible(op, kern::SparseFormat::Csr) {
+            for v in kern::LocalKernel::ALL {
                 case(
                     &format!("variants/{}", op.label()),
                     &format!("{}/r={r}", v.label()),

@@ -1,5 +1,5 @@
-//! Tuner smoke sweep: measure every admissible local-kernel variant for
-//! every local op on a bench-grid shape, run the runtime tuner on the
+//! Tuner smoke sweep: measure every local-kernel variant for every
+//! local op on a bench-grid shape, run the runtime tuner on the
 //! same block, and check its pick against `Naive` **on the same
 //! measurement harness**. CI runs `--smoke` as the `tuner-smoke` step:
 //! the process exits nonzero if any tuned pick measures slower than the
@@ -58,9 +58,9 @@ fn run_coo(v: LocalKernel, op: LocalOp, s: &CooMatrix, a: &Mat, b: &Mat, w: &mut
     }
 }
 
-/// Sweep one (format, op): time every admissible variant, tune on the
-/// same block, and return `(pick, pick_s, naive_s, fastest)` — where
-/// `fastest` is the measured argmin over the admissible set.
+/// Sweep one (format, op): time every variant, tune on the same block,
+/// and return `(pick, pick_s, naive_s, fastest)` — where `fastest` is
+/// the measured argmin over the variants.
 #[allow(clippy::too_many_arguments)]
 fn sweep_op(
     format: SparseFormat,
@@ -76,7 +76,7 @@ fn sweep_op(
         SparseFormat::Csr => "csr",
         SparseFormat::Coo => "coo",
     };
-    for &v in LocalKernel::admissible(op, format) {
+    for v in LocalKernel::ALL {
         let s_per_iter = measure(|| run(v));
         row(
             &format!("{fmt_label}/{}", op.label()),
@@ -91,7 +91,7 @@ fn sweep_op(
             .iter()
             .find(|(v, _)| *v == want)
             .map(|(_, t)| *t)
-            .expect("variant not in the admissible sweep")
+            .expect("variant not in the sweep")
     };
     let fastest = timings
         .iter()

@@ -414,8 +414,8 @@ pub struct CandidateTiming {
     /// Schema v3; parses as `dense` when absent.
     pub routing: String,
     /// Local microkernel variant the two-level tuner resolved for this
-    /// candidate (a `LocalKernel` label, e.g. `naive`, `blocked`,
-    /// `par-blocked`). Schema v4; parses as `naive` when absent.
+    /// candidate (a `LocalKernel` label: `naive` or `blocked`). Schema
+    /// v4; parses as `naive` when absent.
     pub local_variant: String,
     /// Replication factor the planner resolved for this candidate.
     pub c: u64,

@@ -3,9 +3,9 @@
 //! The local (per-rank / per-node) compute kernels that every distributed
 //! algorithm in the workspace calls between communication steps:
 //!
-//! * [`spmm`] — `out += S·B` and `out += Sᵀ·A` on CSR and COO blocks,
-//!   with thread-parallel row variants (the paper uses MKL under OpenMP
-//!   for this role);
+//! * [`spmm`] — `out += S·B` and `out += Sᵀ·A` on CSR and COO blocks
+//!   (the paper uses MKL for this role; each rank runs it serially on
+//!   the core it owns);
 //! * [`sddmm`] — sampled dense-dense products, including *partial*
 //!   accumulation over column slices of the dense operands (the building
 //!   block that lets 1.5D sparse-shifting and 2.5D algorithms accumulate
@@ -15,11 +15,11 @@
 //!   back-to-back on the same operands without materializing the
 //!   intermediate sparse matrix (the paper's *local kernel fusion*);
 //! * [`variants`] — the local microkernel variant library: every op
-//!   above behind the [`LocalKernel`] enum, in naive, register-blocked
-//!   (width-specialized unrolled inner loops for r ∈ {8, 16, 32, 64}),
-//!   CSB-style tiled (transpose scatter), and thread-parallel forms;
-//! * [`tuner`] — the runtime auto-tuner: microbenchmarks the admissible
-//!   variants on a staged problem's actual blocks and caches the winner
+//!   above behind the [`LocalKernel`] enum, in naive and register-blocked
+//!   (width-specialized unrolled inner loops for r ∈ {8, 16, 32, 64})
+//!   forms;
+//! * [`tuner`] — the runtime auto-tuner: microbenchmarks both variants
+//!   on a staged problem's actual blocks and caches the winner
 //!   per (op, shape class, nnz/row, r) — the local half of the
 //!   workspace's two-level (distributed plan × local kernel) tuning;
 //! * `reference` — naive dense-arithmetic references every kernel is
@@ -32,13 +32,10 @@
 //!
 //! ## Environment variables
 //!
-//! * `DSK_THREADS` — thread count for the `par_*` variants (clamped to
-//!   ≥ 1; default: one per available core). Pin it on shared CI runners
-//!   so variant timings — and therefore tuner picks — are deterministic.
 //! * `DSK_LOCAL_KERNEL` — pin every tuner pick to one variant label
-//!   (`naive`, `blocked`, `tiled`, `par-naive`, `par-blocked`,
-//!   `par-tiled`), clamped per op to the admissible set. Unrecognized
-//!   values are ignored.
+//!   (`naive` or `blocked`). Any other non-empty value panics at the
+//!   first tuning or planning lookup, with a message naming the valid
+//!   labels.
 
 // Indexed `for i in 0..n` loops over CSR index structures are the
 // domain idiom throughout this workspace; the iterator rewrites
@@ -52,12 +49,11 @@ pub mod spmm;
 pub mod tuner;
 pub mod variants;
 
-pub use fused::{fused_a_csr, fused_a_csr_materialize, par_fused_a_csr};
+pub use fused::{fused_a_csr, fused_a_csr_materialize};
 pub use sddmm::{
-    apply_sampling, leaky_relu, par_sddmm_csr_acc, par_sddmm_csr_acc_with, sddmm_coo_acc,
-    sddmm_csr, sddmm_csr_acc, SddmmCombine,
+    apply_sampling, leaky_relu, sddmm_coo_acc, sddmm_csr, sddmm_csr_acc, SddmmCombine,
 };
-pub use spmm::{par_spmm_csr_acc, spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
+pub use spmm::{spmm_coo_acc, spmm_coo_t_acc, spmm_csr_acc, spmm_csr_t_acc};
 pub use tuner::{LocalPicks, LocalTuning, TuneRequest};
 pub use variants::{LocalKernel, LocalOp, SparseFormat};
 

@@ -89,63 +89,6 @@ pub fn sddmm_csr_acc(acc: &mut [f64], s: &CsrMatrix, a_panel: &Mat, b_panel: &Ma
     sddmm_csr_acc_with(acc, s, a_panel, b_panel, SddmmCombine::Dot);
 }
 
-/// Row-parallel variant of [`sddmm_csr_acc_with`]: rows of `s` own
-/// disjoint ranges of `acc`, so the accumulator splits at row
-/// boundaries.
-pub fn par_sddmm_csr_acc_with(
-    acc: &mut [f64],
-    s: &CsrMatrix,
-    a_panel: &Mat,
-    b_panel: &Mat,
-    combine: SddmmCombine<'_>,
-) {
-    assert_eq!(acc.len(), s.nnz(), "accumulator must align with pattern");
-    assert_eq!(a_panel.nrows(), s.nrows(), "A panel rows must match S rows");
-    assert_eq!(b_panel.nrows(), s.ncols(), "B panel rows must match S cols");
-    assert_eq!(
-        a_panel.ncols(),
-        b_panel.ncols(),
-        "panels must cover the same column slice"
-    );
-    let indptr = s.indptr();
-    // Cut rows into contiguous chunks and hand each its slice of acc.
-    let nchunks = crate::spmm::par_threads().max(1);
-    let rows_per_chunk = s.nrows().div_ceil(nchunks).max(1);
-    let mut jobs: Vec<(usize, usize, &mut [f64])> = Vec::new();
-    let mut rest = acc;
-    let mut consumed = 0usize;
-    let mut row0 = 0usize;
-    while row0 < s.nrows() {
-        let row1 = (row0 + rows_per_chunk).min(s.nrows());
-        let end = indptr[row1];
-        let (chunk, tail) = rest.split_at_mut(end - consumed);
-        jobs.push((row0, row1, chunk));
-        rest = tail;
-        consumed = end;
-        row0 = row1;
-    }
-    std::thread::scope(|scope| {
-        for (r0, r1, chunk) in jobs {
-            scope.spawn(move || {
-                let base = indptr[r0];
-                for i in r0..r1 {
-                    let (cols, _) = s.row(i);
-                    let arow = a_panel.row(i);
-                    let start = indptr[i] - base;
-                    for (off, &j) in cols.iter().enumerate() {
-                        chunk[start + off] += combine.eval(arow, b_panel.row(j as usize));
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// [`par_sddmm_csr_acc_with`] specialized to the dot-product combine.
-pub fn par_sddmm_csr_acc(acc: &mut [f64], s: &CsrMatrix, a_panel: &Mat, b_panel: &Mat) {
-    par_sddmm_csr_acc_with(acc, s, a_panel, b_panel, SddmmCombine::Dot);
-}
-
 /// Accumulate (partial) dot products aligned with a COO block's nonzero
 /// order: `acc[k] += combine(A_row(rows[k]), B_row(cols[k]))`.
 ///
@@ -231,19 +174,6 @@ mod tests {
         let want = reference::sddmm_ref(&csr, &a, &b);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn par_sddmm_matches_serial() {
-        let (s, a, b) = setup(64, 64, 8, 11);
-        let csr = CsrMatrix::from_coo(&s);
-        let mut acc1 = vec![0.0; csr.nnz()];
-        let mut acc2 = vec![0.0; csr.nnz()];
-        sddmm_csr_acc(&mut acc1, &csr, &a, &b);
-        par_sddmm_csr_acc(&mut acc2, &csr, &a, &b);
-        for (x, y) in acc1.iter().zip(&acc2) {
-            assert!((x - y).abs() < 1e-12);
         }
     }
 

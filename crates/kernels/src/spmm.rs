@@ -8,19 +8,6 @@
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
 
-/// Threads used by the `par_*` kernel variants: the `DSK_THREADS`
-/// environment variable when set (clamped to ≥ 1, for deterministic
-/// variant timings on shared runners), one per available core otherwise.
-pub(crate) fn par_threads() -> usize {
-    match std::env::var("DSK_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism().map_or(1, usize::from),
-    }
-}
-
 /// `out += S·B`. Shapes: `S: m×n`, `B: n×r`, `out: m×r`.
 pub fn spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
     assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
@@ -38,43 +25,8 @@ pub fn spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
     }
 }
 
-/// Row-parallel `out += S·B` (scoped threads). Output rows are
-/// independent, so contiguous row chunks of `S` are processed in
-/// parallel, one chunk per thread.
-pub fn par_spmm_csr_acc(out: &mut Mat, s: &CsrMatrix, b: &Mat) {
-    assert_eq!(out.nrows(), s.nrows(), "output rows must match S rows");
-    assert_eq!(b.nrows(), s.ncols(), "B rows must match S cols");
-    assert_eq!(out.ncols(), b.ncols(), "output width must match B width");
-    let r = out.ncols();
-    let nrows = s.nrows();
-    let nthreads = par_threads().min(nrows.max(1));
-    let rows_per = nrows.div_ceil(nthreads.max(1)).max(1);
-    let chunks: Vec<(usize, &mut [f64])> = out
-        .as_mut_slice()
-        .chunks_mut(rows_per * r.max(1))
-        .enumerate()
-        .map(|(k, chunk)| (k * rows_per, chunk))
-        .collect();
-    std::thread::scope(|scope| {
-        for (row0, chunk) in chunks {
-            scope.spawn(move || {
-                let nchunk = chunk.len().checked_div(r).unwrap_or(0);
-                for (di, orow) in chunk.chunks_mut(r.max(1)).enumerate().take(nchunk) {
-                    let (cols, vals) = s.row(row0 + di);
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        let brow = b.row(j as usize);
-                        for (o, x) in orow.iter_mut().zip(brow) {
-                            *o += v * x;
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// `out += Sᵀ·A`. Shapes: `S: m×n`, `A: m×r`, `out: n×r`. Row-scatter
-/// over the CSR rows (serial: output rows collide across input rows).
+/// over the CSR rows.
 pub fn spmm_csr_t_acc(out: &mut Mat, s: &CsrMatrix, a: &Mat) {
     assert_eq!(out.nrows(), s.ncols(), "output rows must match S cols");
     assert_eq!(a.nrows(), s.nrows(), "A rows must match S rows");
@@ -143,17 +95,6 @@ mod tests {
         spmm_csr_acc(&mut out, &csr, &b);
         reference::spmm_ref_acc(&mut expect, &s, &b);
         assert!(max_abs_diff(&out, &expect) < 1e-12);
-    }
-
-    #[test]
-    fn par_spmm_matches_serial() {
-        let (s, _, b) = setup(64, 64, 8, 6, 2);
-        let csr = CsrMatrix::from_coo(&s);
-        let mut serial = Mat::zeros(64, 8);
-        let mut parallel = Mat::zeros(64, 8);
-        spmm_csr_acc(&mut serial, &csr, &b);
-        par_spmm_csr_acc(&mut parallel, &csr, &b);
-        assert!(max_abs_diff(&serial, &parallel) < 1e-12);
     }
 
     #[test]

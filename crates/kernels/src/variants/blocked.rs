@@ -37,7 +37,7 @@ fn spmm_row_w<const W: usize>(cols: &[u32], vals: &[f64], b: &Mat, orow: &mut [f
 /// Register-blocked gather for one CSR row, width-dispatched on
 /// `orow.len()`.
 #[inline]
-pub(super) fn spmm_row_blocked(cols: &[u32], vals: &[f64], b: &Mat, orow: &mut [f64]) {
+fn spmm_row_blocked(cols: &[u32], vals: &[f64], b: &Mat, orow: &mut [f64]) {
     let r = orow.len();
     match r {
         8 => spmm_row_w::<8>(cols, vals, b, orow, 0),
@@ -72,7 +72,7 @@ fn axpy_w<const W: usize>(orow: &mut [f64], x: &[f64], v: f64) {
 
 /// `orow += v · x`, width-dispatched on `orow.len()`.
 #[inline]
-pub(super) fn axpy_blocked(orow: &mut [f64], x: &[f64], v: f64) {
+fn axpy_blocked(orow: &mut [f64], x: &[f64], v: f64) {
     let r = orow.len();
     match r {
         8 => axpy_w::<8>(orow, x, v),
@@ -118,7 +118,7 @@ fn dot_w<const W: usize>(x: &[f64], y: &[f64]) -> f64 {
 /// `⟨x, y⟩` with four independent partial sums, width-dispatched on
 /// `x.len()`.
 #[inline]
-pub(super) fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
+fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
     let r = x.len();
     match r {
         8 => dot_w::<8>(x, y),
@@ -149,7 +149,7 @@ pub(super) fn dot_blocked(x: &[f64], y: &[f64]) -> f64 {
 /// shapes reduce to (weighted) dot products, so they share
 /// [`dot_blocked`].
 #[inline]
-pub(super) fn eval_blocked(combine: SddmmCombine<'_>, arow: &[f64], brow: &[f64]) -> f64 {
+fn eval_blocked(combine: SddmmCombine<'_>, arow: &[f64], brow: &[f64]) -> f64 {
     match combine {
         SddmmCombine::Dot => dot_blocked(arow, brow),
         SddmmCombine::AffinePair { w_src, w_dst } => {

@@ -2,39 +2,25 @@
 //!
 //! Every local op the distributed algorithms call between communication
 //! steps — SpMM, the SpMMB/transpose scatter, SDDMM, and the fused
-//! SDDMM+SpMM kernel — exists in several interchangeable implementations
+//! SDDMM+SpMM kernel — exists in two interchangeable implementations
 //! behind the [`LocalKernel`] variant enum:
 //!
 //! * **`Naive`** — the original row loops ([`crate::spmm`],
 //!   [`crate::sddmm`], [`crate::fused`]), kept as the reference point
-//!   every other variant is tuned against;
+//!   the other variant is tuned against;
 //! * **`Blocked`** — register-blocked row kernels with width-specialized
 //!   unrolled inner loops for r ∈ {8, 16, 32, 64} and a chunk-of-8
 //!   generic fallback (multiple independent accumulators per row, one
 //!   read-modify-write of the output per width chunk instead of one per
-//!   nonzero);
-//! * **`Tiled`** — a CSB-style layout for the transpose scatter: the
-//!   nonzeros are bucketed by output-row tile per call, so scattered
-//!   writes stay within one cache tile at a time;
-//! * **`ParNaive` / `ParBlocked` / `ParTiled`** — thread-parallel
-//!   versions on the workspace's scoped-thread machinery. Row-parallel
-//!   variants split the output (or the accumulator) at row boundaries;
-//!   the parallel transpose scatter splits the *output* into tile
-//!   stripes instead, because output rows collide across input rows.
+//!   nonzero).
 //!
-//! Not every variant is admissible for every (op, format) pair; the
-//! dispatch methods clamp deterministically via [`LocalKernel::clamp`]
-//! (e.g. `Tiled` degrades to `Blocked` for row-parallel ops, and COO
-//! blocks — which arrive over the wire and are consumed once — only
-//! admit the serial `Naive`/`Blocked` pair). Choosing *which* admissible
-//! variant to run is the job of [`crate::tuner`]; pinning one for
-//! reproducible benches is `DSK_LOCAL_KERNEL` (see the crate docs).
+//! Both are serial: each rank of a distributed run owns one core, so a
+//! second level of threads inside a rank could only oversubscribe.
+//! Choosing *which* variant to run is the job of [`crate::tuner`];
+//! pinning one for reproducible benches is `DSK_LOCAL_KERNEL` (see the
+//! crate docs).
 
 mod blocked;
-mod parallel;
-mod tiled;
-
-pub(crate) use parallel::par_out_rows;
 
 use dsk_dense::Mat;
 use dsk_sparse::{CooMatrix, CsrMatrix};
@@ -43,7 +29,8 @@ use crate::sddmm::SddmmCombine;
 
 /// The local kernel ops a [`LocalKernel`] variant can implement. The
 /// transpose scatter ([`LocalOp::SpmmT`]) is separate from row-major
-/// SpMM because its parallelization story differs (output rows collide).
+/// SpMM because its memory access differs (it scatters into output rows
+/// indexed by S columns instead of gathering), so it tunes separately.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LocalOp {
     /// `out += S·B` (row-major gather).
@@ -94,26 +81,11 @@ pub enum LocalKernel {
     Naive,
     /// Register-blocked rows with width-specialized inner loops.
     Blocked,
-    /// CSB-style output tiling (transpose scatter only).
-    Tiled,
-    /// Thread-parallel naive rows.
-    ParNaive,
-    /// Thread-parallel register-blocked rows.
-    ParBlocked,
-    /// Thread-parallel tile stripes (transpose scatter only).
-    ParTiled,
 }
 
 impl LocalKernel {
     /// All variants, in display order.
-    pub const ALL: [LocalKernel; 6] = [
-        LocalKernel::Naive,
-        LocalKernel::Blocked,
-        LocalKernel::Tiled,
-        LocalKernel::ParNaive,
-        LocalKernel::ParBlocked,
-        LocalKernel::ParTiled,
-    ];
+    pub const ALL: [LocalKernel; 2] = [LocalKernel::Naive, LocalKernel::Blocked];
 
     /// Stable lower-case label (bench schema, scoreboards,
     /// `DSK_LOCAL_KERNEL` values).
@@ -121,10 +93,6 @@ impl LocalKernel {
         match self {
             LocalKernel::Naive => "naive",
             LocalKernel::Blocked => "blocked",
-            LocalKernel::Tiled => "tiled",
-            LocalKernel::ParNaive => "par-naive",
-            LocalKernel::ParBlocked => "par-blocked",
-            LocalKernel::ParTiled => "par-tiled",
         }
     }
 
@@ -135,73 +103,19 @@ impl LocalKernel {
         LocalKernel::ALL.into_iter().find(|v| v.label() == norm)
     }
 
-    /// The variants admissible for an (op, format) pair, `Naive` first.
-    pub fn admissible(op: LocalOp, format: SparseFormat) -> &'static [LocalKernel] {
-        match (format, op) {
-            (SparseFormat::Coo, _) => &[LocalKernel::Naive, LocalKernel::Blocked],
-            (SparseFormat::Csr, LocalOp::SpmmT) => &[
-                LocalKernel::Naive,
-                LocalKernel::Blocked,
-                LocalKernel::Tiled,
-                LocalKernel::ParTiled,
-            ],
-            (SparseFormat::Csr, _) => &[
-                LocalKernel::Naive,
-                LocalKernel::Blocked,
-                LocalKernel::ParNaive,
-                LocalKernel::ParBlocked,
-            ],
-        }
-    }
-
-    /// Degrade `self` to the nearest admissible variant for (op,
-    /// format). Deterministic: tiling degrades to blocking where tiles
-    /// don't apply, parallelism is dropped where the op can't split
-    /// (the transpose scatter's output rows collide across input rows;
-    /// COO blocks are consumed once, serially).
-    pub fn clamp(self, op: LocalOp, format: SparseFormat) -> LocalKernel {
-        match (format, op) {
-            (SparseFormat::Coo, _) => match self {
-                LocalKernel::Naive | LocalKernel::ParNaive => LocalKernel::Naive,
-                _ => LocalKernel::Blocked,
-            },
-            (SparseFormat::Csr, LocalOp::SpmmT) => match self {
-                LocalKernel::ParNaive => LocalKernel::Naive,
-                LocalKernel::ParBlocked => LocalKernel::Blocked,
-                other => other,
-            },
-            (SparseFormat::Csr, _) => match self {
-                LocalKernel::Tiled => LocalKernel::Blocked,
-                LocalKernel::ParTiled => LocalKernel::ParBlocked,
-                other => other,
-            },
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Dispatch. Each method clamps first, so callers may pass any
-    // variant (a pinned or migrated pick stays valid across ops).
-    // ------------------------------------------------------------------
-
     /// `out += S·B` on a CSR block through this variant.
     pub fn spmm_csr(self, out: &mut Mat, s: &CsrMatrix, b: &Mat) {
-        match self.clamp(LocalOp::Spmm, SparseFormat::Csr) {
+        match self {
             LocalKernel::Naive => crate::spmm::spmm_csr_acc(out, s, b),
             LocalKernel::Blocked => blocked::blocked_spmm_csr_acc(out, s, b),
-            LocalKernel::ParNaive => crate::spmm::par_spmm_csr_acc(out, s, b),
-            LocalKernel::ParBlocked => parallel::par_blocked_spmm_csr_acc(out, s, b),
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
     /// `out += Sᵀ·A` on a CSR block through this variant.
     pub fn spmm_csr_t(self, out: &mut Mat, s: &CsrMatrix, a: &Mat) {
-        match self.clamp(LocalOp::SpmmT, SparseFormat::Csr) {
+        match self {
             LocalKernel::Naive => crate::spmm::spmm_csr_t_acc(out, s, a),
             LocalKernel::Blocked => blocked::blocked_spmm_csr_t_acc(out, s, a),
-            LocalKernel::Tiled => tiled::tiled_spmm_csr_t_acc(out, s, a),
-            LocalKernel::ParTiled => tiled::par_tiled_spmm_csr_t_acc(out, s, a),
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
@@ -214,49 +128,37 @@ impl LocalKernel {
         b_panel: &Mat,
         combine: SddmmCombine<'_>,
     ) {
-        match self.clamp(LocalOp::Sddmm, SparseFormat::Csr) {
+        match self {
             LocalKernel::Naive => {
                 crate::sddmm::sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
             }
             LocalKernel::Blocked => {
                 blocked::blocked_sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
             }
-            LocalKernel::ParNaive => {
-                crate::sddmm::par_sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
-            }
-            LocalKernel::ParBlocked => {
-                parallel::par_blocked_sddmm_csr_acc_with(acc, s, a_panel, b_panel, combine)
-            }
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
     /// The fused SDDMM+SpMM kernel on a CSR block through this variant.
     pub fn fused_csr(self, out: &mut Mat, s: &CsrMatrix, a: &Mat, b: &Mat) {
-        match self.clamp(LocalOp::Fused, SparseFormat::Csr) {
+        match self {
             LocalKernel::Naive => crate::fused::fused_a_csr(out, s, a, b),
             LocalKernel::Blocked => blocked::blocked_fused_a_csr(out, s, a, b),
-            LocalKernel::ParNaive => crate::fused::par_fused_a_csr(out, s, a, b),
-            LocalKernel::ParBlocked => parallel::par_blocked_fused_a_csr(out, s, a, b),
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
     /// `out += S·B` on a COO block through this variant.
     pub fn spmm_coo(self, out: &mut Mat, s: &CooMatrix, b: &Mat) {
-        match self.clamp(LocalOp::Spmm, SparseFormat::Coo) {
+        match self {
             LocalKernel::Naive => crate::spmm::spmm_coo_acc(out, s, b),
             LocalKernel::Blocked => blocked::blocked_spmm_coo_acc(out, s, b),
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
     /// `out += Sᵀ·A` on a COO block through this variant.
     pub fn spmm_coo_t(self, out: &mut Mat, s: &CooMatrix, a: &Mat) {
-        match self.clamp(LocalOp::SpmmT, SparseFormat::Coo) {
+        match self {
             LocalKernel::Naive => crate::spmm::spmm_coo_t_acc(out, s, a),
             LocalKernel::Blocked => blocked::blocked_spmm_coo_t_acc(out, s, a),
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 
@@ -269,14 +171,13 @@ impl LocalKernel {
         b_panel: &Mat,
         combine: SddmmCombine<'_>,
     ) {
-        match self.clamp(LocalOp::Sddmm, SparseFormat::Coo) {
+        match self {
             LocalKernel::Naive => {
                 crate::sddmm::sddmm_coo_acc_with(acc, s, a_panel, b_panel, combine)
             }
             LocalKernel::Blocked => {
                 blocked::blocked_sddmm_coo_acc_with(acc, s, a_panel, b_panel, combine)
             }
-            _ => unreachable!("clamp returned an inadmissible variant"),
         }
     }
 }
@@ -291,31 +192,11 @@ mod tests {
             assert_eq!(LocalKernel::parse(v.label()), Some(v));
         }
         assert_eq!(
-            LocalKernel::parse(" Par_Blocked \n"),
-            Some(LocalKernel::ParBlocked)
+            LocalKernel::parse(" Blocked \n"),
+            Some(LocalKernel::Blocked)
         );
+        assert_eq!(LocalKernel::parse("par-blocked"), None);
         assert_eq!(LocalKernel::parse("mkl"), None);
         assert_eq!(LocalKernel::parse(""), None);
-    }
-
-    #[test]
-    fn clamp_lands_in_the_admissible_set() {
-        for op in LocalOp::ALL {
-            for format in [SparseFormat::Csr, SparseFormat::Coo] {
-                let adm = LocalKernel::admissible(op, format);
-                assert_eq!(adm[0], LocalKernel::Naive);
-                for v in LocalKernel::ALL {
-                    let c = v.clamp(op, format);
-                    assert!(
-                        adm.contains(&c),
-                        "{v:?} clamped to {c:?}, inadmissible for {op:?}/{format:?}"
-                    );
-                    // Admissible variants are fixed points.
-                    if adm.contains(&v) {
-                        assert_eq!(c, v);
-                    }
-                }
-            }
-        }
     }
 }

@@ -125,31 +125,6 @@ fn spmm_t_equals_transposed_spmm() {
     }
 }
 
-/// Thread-parallel kernels agree with serial for random shapes.
-#[test]
-fn parallel_kernels_match_serial() {
-    let mut rng = Rng::seed_from_u64(0xB006);
-    for _ in 0..CASES {
-        let m = 2 + rng.gen_index(38);
-        let n = 2 + rng.gen_index(38);
-        let r = 1 + rng.gen_index(9);
-        let seed = rng.next_u64() % 300;
-        let (s, a, b) = problem(m, n, r, seed);
-        let mut o1 = Mat::zeros(m, r);
-        let mut o2 = Mat::zeros(m, r);
-        kern::spmm_csr_acc(&mut o1, &s, &b);
-        kern::par_spmm_csr_acc(&mut o2, &s, &b);
-        assert!(max_abs_diff(&o1, &o2) < 1e-11);
-        let mut a1 = vec![0.0; s.nnz()];
-        let mut a2 = vec![0.0; s.nnz()];
-        kern::sddmm_csr_acc(&mut a1, &s, &a, &b);
-        kern::sddmm::par_sddmm_csr_acc(&mut a2, &s, &a, &b);
-        for (x, y) in a1.iter().zip(&a2) {
-            assert!((x - y).abs() < 1e-11);
-        }
-    }
-}
-
 /// The GAT affine combine matches the explicit formula on random
 /// weights.
 #[test]

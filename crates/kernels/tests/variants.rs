@@ -3,9 +3,9 @@
 //! on hand-built edge shapes (the empty block, interior empty rows, a
 //! single-column matrix, an all-dense block) crossed with edge widths
 //! (r = 1, the exact unroll width, one past it), and on a seeded random
-//! sweep. Dispatch clamps inadmissible variants, so all six enum values
-//! are legal through every method; accumulation (`+=`) semantics are
-//! checked by starting both sides from the same random prefill.
+//! sweep. Both enum values are legal through every method; accumulation
+//! (`+=`) semantics are checked by starting both sides from the same
+//! random prefill.
 
 use dsk_dense::ops::max_abs_diff;
 use dsk_dense::Mat;

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use distributed_sparse_kernels::core::{GlobalProblem, StagedProblem};
-use distributed_sparse_kernels::kernels::{LocalKernel, LocalOp, SparseFormat};
+use distributed_sparse_kernels::kernels::LocalKernel;
 use distributed_sparse_kernels::prelude::*;
 
 #[test]
@@ -50,25 +50,18 @@ fn pinned_variants_change_nothing_but_the_local_kernel() {
     let prob = Arc::new(GlobalProblem::erdos_renyi(192, 192, 8, 6, 7102));
     let mut sums: Vec<f64> = Vec::new();
     let mut traffic: Vec<(u64, u64)> = Vec::new();
-    for pin in [LocalKernel::Naive, LocalKernel::ParBlocked] {
+    for pin in LocalKernel::ALL {
         let staged = Arc::new(StagedProblem::new(Arc::clone(&prob)));
         staged.local_tuning().set_pin(Some(pin));
         let builder = KernelBuilder::from_staged(&staged).max_replication(4);
-        // The scoreboard reports the pin on every row, modulo the
-        // deterministic per-format clamp (COO families degrade a
-        // parallel pin to its serial counterpart).
+        // The scoreboard reports the pin on every row.
         let cands = builder.plan_candidates(8);
         assert!(!cands.is_empty());
-        let admissible = [
-            pin.clamp(LocalOp::Spmm, SparseFormat::Csr),
-            pin.clamp(LocalOp::Spmm, SparseFormat::Coo),
-        ];
         for cand in &cands {
-            assert!(
-                admissible.contains(&cand.local_variant),
-                "{:?}: {:?} not a clamp of the pin {pin:?}",
-                cand.algorithm,
-                cand.local_variant
+            assert_eq!(
+                cand.local_variant, pin,
+                "{:?}: the scoreboard ignored the pin",
+                cand.algorithm
             );
         }
         let world = SimWorld::new(8, MachineModel::cori_knl());
