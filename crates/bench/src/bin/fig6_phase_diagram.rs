@@ -43,20 +43,22 @@
 
 use std::sync::Arc;
 
-use dsk_bench::harness::{run_fused_on, run_fused_on_mode, run_planned_on};
+use dsk_bench::harness::{run_fused_on, run_planned_on};
 use dsk_bench::json::{
     git_sha, summary_lines, AdaptivePoint, BenchPoint, BenchReport, CandidateTiming,
     BENCH_SCHEMA_VERSION,
 };
 use dsk_bench::workloads::{drifting_nnz_grid, fig6_regret_grid, SweepScale};
-use dsk_comm::{BackendKind, MachineModel};
+use dsk_comm::{AggregateStats, BackendKind, MachineModel, Phase, SimWorld};
 use dsk_core::common::AlgorithmFamily;
 use dsk_core::kernel::{KernelBuilder, PlannedCandidate};
-use dsk_core::{GlobalProblem, StagedProblem};
+use dsk_core::{GlobalProblem, Sampling, ShiftMode, StagedProblem};
 
 const C_MAX: usize = 16;
 const CALLS: usize = 1;
 const SEED: u64 = 4242;
+/// (pipelined, blocking) pairs behind each wire-delay `overlap` ratio.
+const OVERLAP_PAIRS: usize = 9;
 
 /// The backends every grid point is measured under (`--socket` appends
 /// the multi-process socket leg).
@@ -236,35 +238,40 @@ fn sweep_point(
     let regret = measured[picked] / measured[best];
     let model_error = (timed[picked].predicted_s - measured[picked]).abs() / measured[picked];
 
-    // Overlap (schema v5): re-run the pick with blocking shifts on the
-    // latency-modeling backend and compare wall clocks. Only wire-delay
-    // injects transport latency the pipeline can hide; elsewhere the
-    // ratio would be pure scheduler noise, so it stays 1.0. The
-    // blocking run must be the *same* schedule down to its accounting —
+    // Overlap (schema v5): time the pick with pipelined and blocking
+    // shifts on the latency-modeling backend. Only wire-delay injects
+    // transport latency the pipeline can hide; elsewhere the ratio would
+    // be pure scheduler noise, so it stays 1.0. The two modes run in
+    // back-to-back pairs that alternate which goes first, so drift
+    // between pairs cancels, and the median pair ratio is recorded.
+    // Every run must be the *same* schedule down to its accounting —
     // the mode changes when bytes move, never how many are charged.
     let overlap = if backend == BackendKind::WireDelay {
-        let pick = &candidates[picked];
-        let blocking = run_fused_on_mode(
-            staged,
-            model,
-            p,
-            pick.algorithm,
-            pick.routing,
-            pick.c,
-            CALLS,
-            backend,
-            dsk_core::ShiftMode::Blocking,
-        );
-        assert_eq!(
-            blocking.total_s.to_bits(),
-            timed[picked].modeled_s.to_bits(),
-            "blocking re-run changed modeled accounting at r={r} nnz/row={nnz_row}"
-        );
-        assert_eq!(
-            blocking.wire_bytes, timed[picked].wire_bytes,
-            "blocking re-run changed encoded bytes at r={r} nnz/row={nnz_row}"
-        );
-        timed[picked].wall_s / blocking.wall_s
+        let time = |mode| {
+            let (wall, total_s, wire_bytes) =
+                kernel_wall(staged, model, p, &candidates[picked], mode);
+            assert_eq!(
+                (total_s.to_bits(), wire_bytes),
+                (timed[picked].modeled_s.to_bits(), timed[picked].wire_bytes),
+                "{mode:?} re-run changed modeled accounting or encoded bytes \
+                 at r={r} nnz/row={nnz_row}"
+            );
+            wall
+        };
+        let mut ratios: Vec<f64> = (0..OVERLAP_PAIRS)
+            .map(|k| {
+                let (pipelined, blocking) = if k % 2 == 0 {
+                    let pipelined = time(ShiftMode::Pipelined);
+                    (pipelined, time(ShiftMode::Blocking))
+                } else {
+                    let blocking = time(ShiftMode::Blocking);
+                    (time(ShiftMode::Pipelined), blocking)
+                };
+                pipelined / blocking
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        ratios[OVERLAP_PAIRS / 2]
     } else {
         1.0
     };
@@ -281,6 +288,40 @@ fn sweep_point(
         model_error,
         overlap,
     }
+}
+
+/// One run of the pinned pick under `mode`: the busiest rank's wall
+/// time in the kernel phases (Replication + Propagation + Computation;
+/// build, tuning and pattern exchange excluded), plus the modeled total
+/// and encoded bytes the sweep checks against the candidate run.
+fn kernel_wall(
+    staged: &Arc<StagedProblem>,
+    model: MachineModel,
+    p: usize,
+    pick: &PlannedCandidate,
+    mode: ShiftMode,
+) -> (f64, f64, u64) {
+    let outcomes = SimWorld::new(p, model)
+        .backend(BackendKind::WireDelay)
+        .run(|comm| {
+            let _mode = ShiftMode::scoped(mode);
+            let mut worker = KernelBuilder::from_staged(staged)
+                .algorithm(pick.algorithm)
+                .replication(pick.c)
+                .routing(pick.routing)
+                .build(comm);
+            for _ in 0..CALLS {
+                let _ = worker.fused_mm_b(None, pick.algorithm.elision, Sampling::Values);
+            }
+        });
+    let stats: Vec<_> = outcomes.into_iter().map(|o| o.stats).collect();
+    let agg = AggregateStats::from_ranks(&stats);
+    let kernel = [Phase::Replication, Phase::Propagation, Phase::Computation];
+    (
+        kernel.iter().map(|ph| agg.max_wall_s[ph.index()]).sum(),
+        kernel.iter().map(|&ph| agg.modeled_s(ph)).sum(),
+        agg.wire_bytes_total(),
+    )
 }
 
 /// The drifting-sparsity scenario: a schedule of problem phases whose

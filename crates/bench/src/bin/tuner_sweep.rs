@@ -3,8 +3,11 @@
 //! same block, and check its pick against `Naive` **on the same
 //! measurement harness**. CI runs `--smoke` as the `tuner-smoke` step:
 //! the process exits nonzero if any tuned pick measures slower than the
-//! naive reference beyond a noise tolerance (with one head-to-head
-//! re-measurement before declaring failure).
+//! naive reference beyond a noise tolerance. Pick and naive are timed
+//! in back-to-back pairs that alternate which runs first, and the gate
+//! reads the median pair ratio: a kernel's speed drifts by up to 1.5×
+//! between separate measurement windows on a shared host, which no
+//! comparison of unpaired medians can tell from a real difference.
 //!
 //! ```text
 //! tuner_sweep [--smoke | --quick]
@@ -12,7 +15,7 @@
 //!
 //! Output is the usual microbench table (GFLOP/s via the
 //! `dsk_kernels::*_flops` helpers), one group per (format, op), plus a
-//! per-op summary line naming the tuner's pick and its measured speedup
+//! per-op summary line naming the tuner's pick and its paired speedup
 //! over naive.
 
 use dsk_bench::microbench::{header, measure, row};
@@ -20,10 +23,13 @@ use dsk_dense::Mat;
 use dsk_kernels as kern;
 use dsk_kernels::{LocalKernel, LocalOp, LocalTuning, SparseFormat, TuneRequest};
 use dsk_sparse::{gen, CooMatrix, CsrMatrix};
+use std::time::Instant;
 
 /// A tuned pick may re-measure slower than naive by this factor before
 /// the sweep calls it a regression (microbench noise, not a bad pick).
 const NOISE_TOL: f64 = 1.10;
+/// (pick, naive) timing pairs behind each verdict.
+const PAIRS: usize = 9;
 
 fn op_flops(op: LocalOp, nnz: usize, r: usize) -> u64 {
     match op {
@@ -58,55 +64,69 @@ fn run_coo(v: LocalKernel, op: LocalOp, s: &CooMatrix, a: &Mat, b: &Mat, w: &mut
     }
 }
 
-/// Sweep one (format, op): time every variant, tune on the same block,
-/// and return `(pick, pick_s, naive_s, fastest)` — where `fastest` is
-/// the measured argmin over the variants.
-#[allow(clippy::too_many_arguments)]
+/// Sweep one (format, op), `name` in the table: time every variant for
+/// the table, then the tuner's pick against naive in pairs, and return
+/// the [`paired_ratio`] and `fastest`, the table's argmin over the
+/// variants.
 fn sweep_op(
-    format: SparseFormat,
+    name: &str,
     op: LocalOp,
     nnz: usize,
     r: usize,
     mut run: impl FnMut(LocalKernel),
     pick: LocalKernel,
-) -> (LocalKernel, f64, f64, LocalKernel) {
+) -> (f64, LocalKernel) {
     let flops = op_flops(op, nnz, r);
     let mut timings: Vec<(LocalKernel, f64)> = Vec::new();
-    let fmt_label = match format {
-        SparseFormat::Csr => "csr",
-        SparseFormat::Coo => "coo",
-    };
     for v in LocalKernel::ALL {
         let s_per_iter = measure(|| run(v));
         row(
-            &format!("{fmt_label}/{}", op.label()),
+            name,
             &format!("{}/r={r}", v.label()),
             s_per_iter,
             Some(flops),
         );
         timings.push((v, s_per_iter));
     }
-    let time_of = |want: LocalKernel| {
-        timings
-            .iter()
-            .find(|(v, _)| *v == want)
-            .map(|(_, t)| *t)
-            .expect("variant not in the sweep")
-    };
     let fastest = timings
         .iter()
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap()
         .0;
-    let mut pick_s = time_of(pick);
-    let mut naive_s = time_of(LocalKernel::Naive);
-    if pick_s > naive_s * NOISE_TOL {
-        // One head-to-head re-measurement before trusting a "slower than
-        // naive" verdict: take the min of both samples per variant.
-        pick_s = pick_s.min(measure(|| run(pick)));
-        naive_s = naive_s.min(measure(|| run(LocalKernel::Naive)));
+    (paired_ratio(run, pick), fastest)
+}
+
+/// The median over [`PAIRS`] back-to-back (pick, naive) timings of
+/// pick ÷ naive, alternating which runs first so that neither always
+/// runs on caches the other just warmed. Each timing is a batch of calls
+/// sized to ~10 ms, after one warm-up batch of the pick. A `Naive` pick
+/// is the reference itself: 1.
+fn paired_ratio(mut run: impl FnMut(LocalKernel), pick: LocalKernel) -> f64 {
+    if pick == LocalKernel::Naive {
+        return 1.0;
     }
-    (pick, pick_s, naive_s, fastest)
+    let mut time = |v: LocalKernel, batch: usize| {
+        let t0 = Instant::now();
+        for _ in 0..batch {
+            run(v);
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let batch = ((0.01 / time(LocalKernel::Naive, 1).max(1e-9)) as usize).clamp(1, 1_000_000);
+    time(pick, batch);
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|k| {
+            if k % 2 == 0 {
+                let pick_s = time(pick, batch);
+                pick_s / time(LocalKernel::Naive, batch)
+            } else {
+                let naive_s = time(LocalKernel::Naive, batch);
+                time(pick, batch) / naive_s
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[PAIRS / 2]
 }
 
 fn main() {
@@ -129,73 +149,41 @@ fn main() {
     ));
 
     let tuning = LocalTuning::new();
-    let mut summaries: Vec<(String, LocalKernel, f64, f64, LocalKernel)> = Vec::new();
+    let mut summaries: Vec<(String, LocalKernel, f64, LocalKernel)> = Vec::new();
 
-    for op in LocalOp::ALL {
+    let csr_ops = LocalOp::ALL.map(|op| (SparseFormat::Csr, op));
+    let coo_ops = [LocalOp::Spmm, LocalOp::SpmmT, LocalOp::Sddmm].map(|op| (SparseFormat::Coo, op));
+    for (format, op) in csr_ops.into_iter().chain(coo_ops) {
         let req = TuneRequest {
             op,
-            format: SparseFormat::Csr,
+            format,
             rows: n,
             nnz,
             r,
         };
-        let pick = tuning.tune_csr(req, &s);
+        let (label, pick) = match format {
+            SparseFormat::Csr => ("csr", tuning.tune_csr(req, &s)),
+            SparseFormat::Coo => ("coo", tuning.tune_coo(req, &coo)),
+        };
+        let name = format!("{label}/{}", op.label());
         let mut w = Scratch {
             out: Mat::zeros(n, r),
             acc: vec![0.0; nnz],
         };
-        let (pick, pick_s, naive_s, fastest) = sweep_op(
-            SparseFormat::Csr,
-            op,
-            nnz,
-            r,
-            |v| run_csr(v, op, &s, &a, &b, &mut w),
-            pick,
-        );
-        summaries.push((
-            format!("csr/{}", op.label()),
-            pick,
-            pick_s,
-            naive_s,
-            fastest,
-        ));
-    }
-    for op in [LocalOp::Spmm, LocalOp::SpmmT, LocalOp::Sddmm] {
-        let req = TuneRequest {
-            op,
-            format: SparseFormat::Coo,
-            rows: n,
-            nnz,
-            r,
+        let run = |v| match format {
+            SparseFormat::Csr => run_csr(v, op, &s, &a, &b, &mut w),
+            SparseFormat::Coo => run_coo(v, op, &coo, &a, &b, &mut w),
         };
-        let pick = tuning.tune_coo(req, &coo);
-        let mut w = Scratch {
-            out: Mat::zeros(n, r),
-            acc: vec![0.0; nnz],
-        };
-        let (pick, pick_s, naive_s, fastest) = sweep_op(
-            SparseFormat::Coo,
-            op,
-            nnz,
-            r,
-            |v| run_coo(v, op, &coo, &a, &b, &mut w),
-            pick,
-        );
-        summaries.push((
-            format!("coo/{}", op.label()),
-            pick,
-            pick_s,
-            naive_s,
-            fastest,
-        ));
+        let (ratio, fastest) = sweep_op(&name, op, nnz, r, run, pick);
+        summaries.push((name, pick, ratio, fastest));
     }
 
     println!();
     let mut failed = false;
     let mut beat_naive = false;
-    for (name, pick, pick_s, naive_s, fastest) in &summaries {
-        let speedup = naive_s / pick_s;
-        let verdict = if *pick_s > naive_s * NOISE_TOL {
+    for (name, pick, ratio, fastest) in &summaries {
+        let speedup = 1.0 / ratio;
+        let verdict = if *ratio > NOISE_TOL {
             failed = true;
             "SLOWER THAN NAIVE"
         } else {

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dsk_comm::{AggregateStats, BackendKind, MachineModel, Phase, SimWorld};
-use dsk_core::common::{Routing, ShiftMode};
+use dsk_core::common::Routing;
 use dsk_core::kernel::{KernelBuilder, KernelPlan};
 use dsk_core::theory::Algorithm;
 use dsk_core::{GlobalProblem, Sampling, StagedProblem};
@@ -162,39 +162,8 @@ pub fn run_fused_on(
     calls: usize,
     backend: BackendKind,
 ) -> FusedRow {
-    run_fused_on_mode(
-        staged,
-        model,
-        p,
-        alg,
-        routing,
-        c,
-        calls,
-        backend,
-        ShiftMode::current(),
-    )
-}
-
-/// [`run_fused_on`] with the shift pipeline mode pinned per rank. The
-/// regret sweep uses this to re-run the planner's pick with blocking
-/// shifts and report the measured pipelined ÷ blocking overlap ratio;
-/// the mode is scoped inside each rank's closure because the override
-/// is thread-local and every rank is its own thread.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fused_on_mode(
-    staged: &Arc<StagedProblem>,
-    model: MachineModel,
-    p: usize,
-    alg: Algorithm,
-    routing: Routing,
-    c: usize,
-    calls: usize,
-    backend: BackendKind,
-    mode: ShiftMode,
-) -> FusedRow {
     let world = SimWorld::new(p, model).backend(backend);
     let outcomes = world.run(move |comm| {
-        let _mode = ShiftMode::scoped(mode);
         let mut worker = KernelBuilder::from_staged(staged)
             .algorithm(alg)
             .replication(c)

@@ -106,9 +106,9 @@ pub trait CommBackend: Send + Sync {
 
     /// Transport-failure hook: mark the backend failed so every blocked
     /// and future receive panics with `msg` immediately instead of
-    /// waiting out the watchdog. The elastic epoch runner
-    /// ([`SimWorld::try_run`](crate::SimWorld::try_run)) uses this to
-    /// fail survivors fast when a rank dies mid-epoch; backends without
+    /// waiting out the watchdog. The in-memory epoch runner (behind
+    /// [`SimWorld::run`](crate::SimWorld::run) and `try_run`) uses this
+    /// to fail survivors fast when a rank dies mid-epoch; backends without
     /// a shared mailbox may ignore it.
     fn poison(&self, _msg: &str) {}
 }

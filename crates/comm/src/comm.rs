@@ -312,9 +312,19 @@ impl Comm {
     }
 
     fn recv_uncharged<T: WirePayload>(&self, src: usize, tag: u32) -> T {
-        let parcel = self
-            .backend
-            .take(self.my_global_rank(), self.key_from(src, tag));
+        let key = self.key_from(src, tag);
+        let parcel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.backend.take(self.my_global_rank(), key)
+        }))
+        .unwrap_or_else(|p| {
+            // Mark the failed receive (an aborting epoch's poison or the
+            // watchdog) before unwinding on, so a recovered partial
+            // timeline shows where this rank was blocked.
+            trace::mark(TraceKind::Comm, "recv.abort", || {
+                vec![("src".to_string(), ArgVal::Num(src as f64))]
+            });
+            std::panic::resume_unwind(p)
+        });
         match parcel {
             Parcel::Bytes(bytes) => T::from_wire(&bytes),
             Parcel::Typed(any) => match any.downcast::<T>() {

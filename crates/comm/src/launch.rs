@@ -13,11 +13,11 @@
 //! test, so the launcher passes `<name> --exact --test-threads=1`);
 //! plain binaries (examples, benches) are re-run with their original
 //! arguments. Every process therefore executes the *same deterministic
-//! program*, and each `SimWorld::run` call on a socket backend is one
-//! **epoch** of that program:
+//! program*, and each `SimWorld::run` or `SimWorld::try_run` call on a
+//! socket backend is one **epoch** of that program:
 //!
-//! * the launcher and all pool processes count socket-backed `run`
-//!   calls on their test thread; the counter is the epoch id;
+//! * the launcher and all pool processes count socket-backed epochs on
+//!   their test thread; the counter is the epoch id;
 //! * a child joins live epochs at `DSK_SPAWN_EPOCH` and replays any
 //!   earlier socket epochs on the in-process backend (word accounting
 //!   is backend-invariant, so the replay reproduces the same values);
@@ -44,12 +44,13 @@
 //!
 //! # Elastic epochs and the dead set
 //!
-//! [`SimWorld::try_run`] runs an **elastic** epoch: a rank dying
-//! mid-epoch aborts the epoch instead of killing the pool. The
-//! coordinator collects a verdict from every member (an `Outcome`, an
-//! `Error`, or the member's process exit), broadcasts an `Abort` frame
-//! naming the dead **pool ids**, and every surviving process returns
-//! the identical [`EpochError`]. Each process keeps a thread-local
+//! Every epoch is **elastic** — [`SimWorld::run`] and
+//! [`SimWorld::try_run`] run the same protocol, one body per role: a
+//! rank failing mid-epoch aborts the epoch instead of killing the pool.
+//! The coordinator collects a verdict from every member (an `Outcome`,
+//! an `Error`, or the member's process exit), broadcasts an `Abort`
+//! frame naming the dead **pool ids**, and every surviving process
+//! returns the identical [`EpochError`]. Each process keeps a thread-local
 //! *dead set* of pool ids, updated from `Abort` payloads (the
 //! coordinator from `try_wait` verdicts) — so the next epoch's roster,
 //! a pure function of the dead set ([`crate::rendezvous::roster_for`]),
@@ -65,15 +66,20 @@
 //!
 //! # Failure containment
 //!
-//! A child that panics reports the message in an `Error` frame and
-//! exits non-zero; the launcher re-panics as `rank N panicked: …`,
-//! matching the in-process backend's diagnostics. A child that dies
-//! silently triggers mailbox poison at every peer (milliseconds, not
-//! the 300 s watchdog). If the launcher itself fails mid-epoch (outside
-//! `try_run`), an epoch guard kills the whole pool before the panic
-//! propagates — no orphaned processes — and children additionally poll
-//! their parent pid while waiting. On success, children simply finish
-//! their copy of the program and exit 0; a reaper thread collects them.
+//! A child whose closure panics reports the message in an `Error` frame
+//! and waits for the verdict; a child that dies silently triggers
+//! mailbox poison at every peer (milliseconds, not the 300 s watchdog).
+//! Either way the epoch aborts. `try_run` returns the [`EpochError`]
+//! and keeps the pool; `run` kills the pool and then panics with the
+//! root cause rank 0 saw first — a member's reported panic, its own
+//! panic, or the drain failure — as `rank N panicked: …`, matching the
+//! in-process backend's diagnostics. Failures the abort protocol cannot
+//! contain (a failed rendezvous, members unresponsive past the
+//! watchdog) unwind through an epoch guard that kills the whole pool
+//! before the panic propagates — no orphaned processes — and children
+//! additionally poll their parent pid while waiting. On success,
+//! children simply finish their copy of the program and exit 0; a
+//! reaper thread collects them.
 //!
 //! [`Hello`]: crate::frame::Hello
 //! [`Roster`]: crate::rendezvous::Roster
@@ -98,7 +104,7 @@ use crate::socket::{
 };
 use crate::stats::RankStats;
 use crate::trace::{self, ArgVal, TraceEvent, TraceKind};
-use crate::world::{EpochError, RankOutcome, SimWorld};
+use crate::world::{panic_text, EpochError, EpochFailure, EpochResult, RankOutcome, SimWorld};
 use crate::BackendKind;
 
 /// Rank of a spawned worker process.
@@ -288,8 +294,9 @@ impl Drop for Pool {
 }
 
 /// Kills the pool if an epoch unwinds before completing, so a failing
-/// test never leaves worker processes behind. Elastic epochs disarm it
-/// on a *handled* abort — the pool survives a rank death.
+/// test never leaves worker processes behind. Every epoch disarms it
+/// once it ends in outcomes or a *handled* abort — the pool survives a
+/// rank death ([`SimWorld::run`] tears it down itself before panicking).
 struct EpochGuard<'a, 'b> {
     pool: &'a mut std::cell::RefMut<'b, Option<Pool>>,
     armed: bool,
@@ -491,62 +498,49 @@ fn epoch_error_from_abort(payload: &[u8], roster: &Roster) -> EpochError {
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Run one socket-backed world. Called by [`SimWorld::run`] whenever
-/// the backend kind is `Socket`; see the module docs for the protocol.
-pub(crate) fn run_socket_world<T>(
+/// Run one socket-backed epoch — the body of both [`SimWorld::run`] and
+/// [`SimWorld::try_run`]; see the module docs for the protocol. A rank
+/// death aborts the epoch with an [`EpochError`] on every survivor
+/// instead of killing the pool.
+pub(crate) fn socket_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Vec<RankOutcome<T>>
+) -> EpochResult<T>
 where
     T: WirePayload,
 {
     let epoch = next_epoch();
     match role() {
-        Role::Launcher => run_as_launcher(world, f, epoch),
+        Role::Launcher => launcher_epoch(world, f, epoch),
         Role::Child(info) => {
             let info = info.clone();
             if !on_live_thread(&info, epoch) {
                 // Replay: not this worker's live epoch. The in-process
-                // backend reproduces the same values and word counts.
-                return run_inproc_replay(world, f);
+                // backend reproduces the same values, word counts, Ok/Err
+                // control flow and dead world ranks; the textual detail
+                // of a failure may differ.
+                return SimWorld::new(world.nranks(), *world.model())
+                    .with_recv_timeout(world.recv_timeout_raw())
+                    .backend(BackendKind::InProc)
+                    .epoch(f);
             }
             match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
-                None => run_as_observer::<T>(world, epoch, &info),
-                Some(_) => run_as_member(world, f, epoch, &info),
+                None => observer_epoch::<T>(world, epoch, &info),
+                Some(_) => member_epoch(world, f, epoch, &info),
             }
         }
     }
 }
 
-/// Run one **elastic** socket-backed world ([`SimWorld::try_run`]): a
-/// rank death aborts the epoch with an [`EpochError`] on every
-/// survivor instead of killing the pool.
-pub(crate) fn try_run_socket_world<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Result<Vec<RankOutcome<T>>, EpochError>
-where
-    T: WirePayload,
-{
-    let epoch = next_epoch();
-    match role() {
-        Role::Launcher => try_run_as_launcher(world, f, epoch),
-        Role::Child(info) => {
-            let info = info.clone();
-            if !on_live_thread(&info, epoch) {
-                // Replay reproduces the Ok/Err control flow and the
-                // dead world ranks; the textual detail may differ.
-                return SimWorld::new(world.nranks(), *world.model())
-                    .with_recv_timeout(world.recv_timeout_raw())
-                    .backend(BackendKind::InProc)
-                    .try_run(|c| f(c));
-            }
-            match world_rank_of(info.rank, &dead_ids(), world.nranks()) {
-                None => try_run_as_observer::<T>(world, epoch, &info),
-                Some(_) => try_run_as_member(world, f, epoch, &info),
-            }
+/// Kill this thread's process pool, if it has one: [`SimWorld::run`]
+/// tears the pool down before it panics on a failed epoch, so no worker
+/// outlives the panic. Workers own no pool; there this does nothing.
+pub(crate) fn kill_pool() {
+    POOL.with(|pool| {
+        if let Some(p) = pool.borrow_mut().as_mut() {
+            p.kill_all();
         }
-    }
+    });
 }
 
 fn on_live_thread(info: &ChildInfo, epoch: u64) -> bool {
@@ -558,30 +552,9 @@ fn on_live_thread(info: &ChildInfo, epoch: u64) -> bool {
     on_my_thread && epoch >= info.spawn_epoch
 }
 
-fn run_inproc_replay<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-) -> Vec<RankOutcome<T>>
-where
-    T: WirePayload,
-{
-    SimWorld::new(world.nranks(), *world.model())
-        .with_recv_timeout(world.recv_timeout_raw())
-        .backend(BackendKind::InProc)
-        .run(|c| f(c))
-}
-
 // ---------------------------------------------------------------------
 // Launcher (rank 0)
 // ---------------------------------------------------------------------
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| p.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>")
-        .to_string()
-}
 
 /// Build or grow the pool for an epoch of `n` ranks. Returns `false`
 /// when no pool exists (single-rank world: peerless backend).
@@ -632,8 +605,8 @@ fn ensure_pool(pool_slot: &mut Option<Pool>, n: usize, epoch: u64) -> bool {
 /// live pool worker, validate it (compatibility triple, epoch, world
 /// size, roster role), echo the epoch [`Roster`], and hand back the
 /// assembled member backend plus the observer streams (tagged with
-/// their pool ids). Any failure kills the pool and panics — rendezvous
-/// problems are never elastic.
+/// their pool ids). Any failure panics — rendezvous problems are never
+/// elastic — and the caller's [`EpochGuard`] kills the pool.
 fn launcher_rendezvous(
     pool: &mut Pool,
     world: &SimWorld,
@@ -652,10 +625,8 @@ fn launcher_rendezvous(
         let slice = (Instant::now() + Duration::from_millis(200)).min(deadline);
         match pool.listener.accept_deadline(slice) {
             Ok(mut stream) => {
-                let hello = read_hello(&mut stream, deadline).unwrap_or_else(|e| {
-                    pool.kill_all();
-                    panic!("socket rendezvous failed: {e}");
-                });
+                let hello = read_hello(&mut stream, deadline)
+                    .unwrap_or_else(|e| panic!("socket rendezvous failed: {e}"));
                 let r = hello.rank as usize;
                 let world_rank = roster.members.iter().position(|&m| m as usize == r);
                 let valid = validate_hello(&hello, epoch, n).and_then(|()| {
@@ -668,13 +639,11 @@ fn launcher_rendezvous(
                     }
                 });
                 if let Err(e) = valid {
-                    pool.kill_all();
                     panic!("socket rendezvous failed: {e}");
                 }
                 // Echo the authoritative roster (the stream is idle:
                 // the worker reads it before doing anything else).
                 if let Err(e) = write_frame(&mut stream, &roster_frame) {
-                    pool.kill_all();
                     panic!("socket rendezvous failed: sending Roster to rank {r}: {e}");
                 }
                 seen.insert(r);
@@ -696,14 +665,12 @@ fn launcher_rendezvous(
                     }
                 });
                 if let Some((id, status)) = early_exit {
-                    pool.kill_all();
                     panic!(
                         "rank {id} exited during rendezvous ({status}) — \
                          worker process failed before joining epoch {epoch}"
                     );
                 }
                 if Instant::now() >= deadline {
-                    pool.kill_all();
                     panic!("socket rendezvous failed: {e}");
                 }
             }
@@ -715,11 +682,13 @@ fn launcher_rendezvous(
     (backend, observers)
 }
 
-fn run_as_launcher<T>(
+/// The launcher's epoch: build or grow the pool, rendezvous, and run
+/// [`rank0_epoch`] under an armed [`EpochGuard`].
+fn launcher_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     epoch: u64,
-) -> Vec<RankOutcome<T>>
+) -> EpochResult<T>
 where
     T: WirePayload,
 {
@@ -731,7 +700,8 @@ where
             trace::install_and_sync(0);
             let backend = SocketBackend::assemble(0, 1, world.recv_timeout_raw(), vec![None])
                 .expect("assemble peerless socket backend");
-            return run_rank0_epoch(world, f, backend, Vec::new());
+            let roster = rendezvous::roster_for(epoch, &[0], 1);
+            return rank0_epoch(world, f, backend, Vec::new(), &mut Vec::new(), &roster);
         }
 
         let mut guard = EpochGuard {
@@ -752,51 +722,7 @@ where
             ]
         });
         trace::sync();
-        let outcomes = run_rank0_epoch(world, f, backend, observers);
-        guard.armed = false;
-        outcomes
-    })
-}
-
-fn try_run_as_launcher<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    epoch: u64,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
-where
-    T: WirePayload,
-{
-    let n = world.nranks();
-    POOL.with(|pool_cell| {
-        let mut pool_slot = pool_cell.borrow_mut();
-        if !ensure_pool(&mut pool_slot, n, epoch) {
-            // Single-rank world: the lone rank is the coordinator, whose
-            // death is fatal by contract — nothing elastic to do.
-            trace::install_and_sync(0);
-            let backend = SocketBackend::assemble(0, 1, world.recv_timeout_raw(), vec![None])
-                .expect("assemble peerless socket backend");
-            return Ok(run_rank0_epoch(world, f, backend, Vec::new()));
-        }
-
-        let mut guard = EpochGuard {
-            pool: &mut pool_slot,
-            armed: true,
-        };
-        let pool = guard.pool.as_mut().unwrap();
-        let mut live = vec![0usize];
-        live.extend(pool.children.iter().map(|(id, _)| *id));
-        let roster = rendezvous::roster_for(epoch, &live, n);
-        trace::install(0);
-        let rdv_start = Instant::now();
-        let (backend, observers) = launcher_rendezvous(pool, world, epoch, &roster);
-        trace::complete(TraceKind::Epoch, "epoch.rendezvous", rdv_start, || {
-            vec![
-                ("epoch".to_string(), ArgVal::Num(epoch as f64)),
-                ("ranks".to_string(), ArgVal::Num(n as f64)),
-            ]
-        });
-        trace::sync();
-        let result = rank0_epoch_elastic(world, f, backend, observers, pool, &roster);
+        let result = rank0_epoch(world, f, backend, observers, &mut pool.children, &roster);
         // Both outcomes are *handled* — the pool survives an abort.
         guard.armed = false;
         result
@@ -805,123 +731,19 @@ where
 
 /// Rank 0's epoch body: run the closure, drain, collect member
 /// outcomes, broadcast the set (members via the backend, observers
-/// directly), and assemble the result.
-fn run_rank0_epoch<T>(
+/// directly), and assemble the result. Any failure enters the abort
+/// protocol instead — collect a verdict from every member, broadcast
+/// the dead pool ids, drop the dead from `children`, and return the
+/// shared [`EpochError`]. Failures the protocol cannot contain panic;
+/// the caller's [`EpochGuard`] then kills the pool.
+fn rank0_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     backend: Arc<SocketBackend>,
     mut observers: Vec<(usize, SocketStream)>,
-) -> Vec<RankOutcome<T>>
-where
-    T: WirePayload,
-{
-    let n = world.nranks();
-    let fail = |msg: String| -> ! {
-        // Prefer a reported child panic as the root cause.
-        if let Some((rank, err)) = backend.first_error() {
-            panic!("rank {rank} panicked: {err}");
-        }
-        panic!("{msg}");
-    };
-
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
-        Arc::clone(&backend) as Arc<dyn CommBackend>,
-        *world.model(),
-        shared,
-        0,
-    );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let my_stats = comm.stats_snapshot();
-    let my_trace = trace::drain();
-    let value = match result {
-        Ok(v) => v,
-        Err(p) => fail(format!("rank 0 panicked: {}", panic_text(&*p))),
-    };
-
-    let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    if n > 1 {
-        backend.bye_all();
-        if let Err(e) = backend.wait_byes(control_deadline) {
-            fail(e);
-        }
-    }
-    let leaked = backend.pending_messages();
-    if leaked > 0 {
-        fail(format!(
-            "{leaked} message(s) were sent but never received — protocol bug"
-        ));
-    }
-    let member_outcomes = if n > 1 {
-        match backend.wait_outcomes(control_deadline) {
-            Ok(o) => o,
-            Err(e) => fail(e),
-        }
-    } else {
-        vec![Vec::new()]
-    };
-
-    let mut entries: Vec<OutcomeEntry> = Vec::with_capacity(n);
-    entries.push((value.to_wire(), my_stats.clone(), my_trace));
-    for bytes in member_outcomes.into_iter().skip(1) {
-        entries.push(decode_outcome(&bytes));
-    }
-    // One serialized broadcast buffer serves members and observers.
-    // Synchronous writes: a short-lived launcher main must not exit
-    // before the broadcast bytes reach the sockets (the per-peer
-    // writers are idle here — their Byes flushed before any Outcome
-    // could have arrived).
-    let set_frame_bytes =
-        Frame::control(FrameKind::OutcomeSet, 0, encode_outcome_set(&entries)).to_bytes();
-    for r in 1..n {
-        if let Err(e) = backend.write_frame_bytes_sync(r, &set_frame_bytes) {
-            fail(format!("broadcasting outcomes to rank {r} failed: {e}"));
-        }
-    }
-    for (_, obs) in &mut observers {
-        if obs.write_all_shared(&set_frame_bytes).is_err() {
-            fail("an observer process died before the outcome broadcast".to_string());
-        }
-    }
-    backend.mark_finished();
-    trace::gather_epoch(
-        entries
-            .iter_mut()
-            .map(|e| std::mem::take(&mut e.2))
-            .collect(),
-    );
-
-    // Rank 0 keeps its own typed value; members' values decode from
-    // their outcome bytes.
-    let mut out = Vec::with_capacity(n);
-    out.push(RankOutcome {
-        rank: 0,
-        value,
-        stats: my_stats,
-    });
-    for (rank, (bytes, stats, _)) in entries.iter().enumerate().skip(1) {
-        out.push(RankOutcome {
-            rank,
-            value: T::from_wire(bytes),
-            stats: stats.clone(),
-        });
-    }
-    out
-}
-
-/// Rank 0's **elastic** epoch body: like [`run_rank0_epoch`], but any
-/// failure enters the abort protocol — collect a verdict from every
-/// member, broadcast the dead pool ids, shrink the pool, and return
-/// the shared [`EpochError`] — instead of killing the pool.
-fn rank0_epoch_elastic<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    backend: Arc<SocketBackend>,
-    mut observers: Vec<(usize, SocketStream)>,
-    pool: &mut Pool,
+    children: &mut Vec<(usize, Child)>,
     roster: &Roster,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
+) -> EpochResult<T>
 where
     T: WirePayload,
 {
@@ -964,7 +786,7 @@ where
     }
 
     let Some(root_cause) = failure else {
-        // Clean epoch: identical to the non-elastic broadcast.
+        // Clean epoch: broadcast the outcome set.
         let value = result.unwrap_or_else(|_| unreachable!());
         let mut entries: Vec<OutcomeEntry> = Vec::with_capacity(n);
         entries.push((value.to_wire(), my_stats.clone(), trace::drain()));
@@ -978,7 +800,6 @@ where
                 // A member died *after* reporting its outcome: some of
                 // its peers may already hold the broadcast, so an abort
                 // would split the survivors' control flow. Contain.
-                pool.kill_all();
                 panic!("broadcasting outcomes to rank {r} failed: {e}");
             }
         }
@@ -1011,6 +832,14 @@ where
     };
 
     // ----- Abort protocol -----
+    // The root cause `SimWorld::run` panics with, taken before the nudge
+    // below makes members report collateral errors: a member's reported
+    // failure, else rank 0's own panic, else the drain failure.
+    let cause = match backend.first_error() {
+        Some((rank, msg)) => format!("rank {rank} panicked: {msg}"),
+        None if result.is_err() => format!("rank 0 panicked: {root_cause}"),
+        None => root_cause.clone(),
+    };
     // Nudge survivors blocked in data receives: an Error frame poisons
     // their mailbox, so they fail over to their own abort path fast
     // instead of waiting out the watchdog.
@@ -1027,7 +856,7 @@ where
     // abort cannot complete consistently — contain by killing the pool.
     let mut dead_pool_ids: BTreeSet<usize> = BTreeSet::new();
     loop {
-        for (id, c) in pool.children.iter_mut() {
+        for (id, c) in children.iter_mut() {
             if let Ok(Some(_)) = c.try_wait() {
                 dead_pool_ids.insert(*id);
             }
@@ -1039,7 +868,6 @@ where
             break;
         }
         if Instant::now() >= control_deadline {
-            pool.kill_all();
             panic!(
                 "elastic abort failed: surviving member(s) stayed unresponsive after a \
                  mid-epoch failure: {root_cause}"
@@ -1082,8 +910,11 @@ where
 
     // Shrink the pool: the dead children are already reaped (try_wait
     // returned their status) — drop their handles.
-    pool.children.retain(|(id, _)| !dead_pool_ids.contains(id));
-    Err(epoch_error_from_abort(&abort_payload, roster))
+    children.retain(|(id, _)| !dead_pool_ids.contains(id));
+    Err(EpochFailure {
+        error: epoch_error_from_abort(&abort_payload, roster),
+        cause,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1245,70 +1076,16 @@ fn member_trace_begin(world_rank: usize, epoch: u64, n: usize, rdv_start: Instan
     trace::sync();
 }
 
-fn run_as_member<T>(
+/// A member's epoch body: any local failure is reported to the
+/// coordinator and both paths converge on
+/// [`SocketBackend::wait_verdict`] — the epoch ends in the identical
+/// `Ok(outcomes)` or `Err(EpochError)` on every surviving process.
+fn member_epoch<T>(
     world: &SimWorld,
     f: &(dyn Fn(&mut Comm) -> T + Sync),
     epoch: u64,
     info: &ChildInfo,
-) -> Vec<RankOutcome<T>>
-where
-    T: WirePayload,
-{
-    let rdv_start = Instant::now();
-    let (backend, me, _roster) = member_rendezvous(world, epoch, info);
-    member_trace_begin(me, epoch, world.nranks(), rdv_start);
-
-    let shared = RankShared::new();
-    let mut comm = Comm::world(
-        Arc::clone(&backend) as Arc<dyn CommBackend>,
-        *world.model(),
-        shared,
-        me,
-    );
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    comm.finish();
-    let stats = comm.stats_snapshot();
-    let my_trace = trace::drain();
-    let value = match result {
-        Ok(v) => v,
-        Err(p) => child_fail(Some(backend.as_ref()), panic_text(&*p)),
-    };
-
-    let control_deadline = Instant::now() + world.recv_timeout_raw() + CONTROL_SLACK;
-    backend.bye_all();
-    if let Err(e) = backend.wait_byes(control_deadline) {
-        child_fail(Some(backend.as_ref()), e);
-    }
-    let leaked = backend.pending_messages();
-    if leaked > 0 {
-        child_fail(
-            Some(&backend),
-            format!("{leaked} message(s) were sent but never received — protocol bug"),
-        );
-    }
-    backend.send_control(
-        0,
-        FrameKind::Outcome,
-        encode_outcome(&value.to_wire(), &stats, &my_trace),
-    );
-    let set_bytes = match backend.wait_outcome_set(control_deadline) {
-        Ok(b) => b,
-        Err(e) => child_fail(Some(backend.as_ref()), e),
-    };
-    backend.mark_finished();
-    outcomes_from_set(&decode_outcome_set(&set_bytes))
-}
-
-/// A member's **elastic** epoch body: any local failure is reported to
-/// the coordinator and both paths converge on [`SocketBackend::
-/// wait_verdict`] — the epoch ends in the identical `Ok(outcomes)` or
-/// `Err(EpochError)` on every surviving process.
-fn try_run_as_member<T>(
-    world: &SimWorld,
-    f: &(dyn Fn(&mut Comm) -> T + Sync),
-    epoch: u64,
-    info: &ChildInfo,
-) -> Result<Vec<RankOutcome<T>>, EpochError>
+) -> EpochResult<T>
 where
     T: WirePayload,
 {
@@ -1379,7 +1156,7 @@ where
         }
         Ok(EpochVerdict::Aborted(payload)) => {
             backend.mark_finished();
-            Err(epoch_error_from_abort(&payload, &roster))
+            Err(epoch_error_from_abort(&payload, &roster).into())
         }
         Err(e) => child_fail(Some(backend.as_ref()), format!("rank {me}: {e}")),
     }
@@ -1418,53 +1195,14 @@ fn observer_rendezvous(world: &SimWorld, epoch: u64, info: &ChildInfo) -> Socket
     stream
 }
 
-fn run_as_observer<T: WirePayload>(
+/// An observer's epoch body: dial in, then wait (bounded, polling the
+/// launcher's health) for the epoch verdict — the outcome broadcast or
+/// an `Abort`.
+fn observer_epoch<T: WirePayload>(
     world: &SimWorld,
     epoch: u64,
     info: &ChildInfo,
-) -> Vec<RankOutcome<T>> {
-    let me = info.rank;
-    let abort = || parent_died(info);
-    let mut stream = observer_rendezvous(world, epoch, info);
-    // Wait (bounded) for the outcome broadcast, polling parent health.
-    let wait_deadline = Instant::now() + world.recv_timeout_raw() + HANDSHAKE_TIMEOUT;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    loop {
-        if let Some(why) = abort() {
-            child_fail(None, why);
-        }
-        match read_frame(&mut stream) {
-            Ok(Some(frame)) if frame.kind == FrameKind::OutcomeSet => {
-                return outcomes_from_set(&decode_outcome_set(&frame.payload));
-            }
-            Ok(Some(frame)) => child_fail(
-                None,
-                format!("rank {me}: expected OutcomeSet, got {:?}", frame.kind),
-            ),
-            Ok(None) => child_fail(
-                None,
-                format!("rank {me}: launcher closed before the outcome broadcast"),
-            ),
-            Err(crate::frame::DecodeError::Io(e))
-                if e.contains(crate::frame::TIMEOUT_AT_BOUNDARY) =>
-            {
-                if Instant::now() >= wait_deadline {
-                    child_fail(
-                        None,
-                        format!("rank {me}: timed out awaiting the outcome broadcast"),
-                    );
-                }
-            }
-            Err(e) => child_fail(None, format!("rank {me}: {e}")),
-        }
-    }
-}
-
-fn try_run_as_observer<T: WirePayload>(
-    world: &SimWorld,
-    epoch: u64,
-    info: &ChildInfo,
-) -> Result<Vec<RankOutcome<T>>, EpochError> {
+) -> EpochResult<T> {
     let me = info.rank;
     let abort = || parent_died(info);
     let mut stream = observer_rendezvous(world, epoch, info);
@@ -1496,7 +1234,7 @@ fn try_run_as_observer<T: WirePayload>(
                 return Ok(outcomes_from_set(&decode_outcome_set(&frame.payload)));
             }
             Ok(Some(frame)) if frame.kind == FrameKind::Abort => {
-                return Err(epoch_error_from_abort(&frame.payload, &roster));
+                return Err(epoch_error_from_abort(&frame.payload, &roster).into());
             }
             Ok(Some(frame)) => child_fail(
                 None,

@@ -85,7 +85,8 @@
 //!
 //! The socket backend launches a rank *pool* whose size can differ from
 //! — and change between — the worlds it serves. Each `SimWorld::run`
-//! (or [`SimWorld::try_run`]) is one **epoch**: ranks rendezvous with
+//! or [`SimWorld::try_run`] is one **epoch** of the same elastic
+//! protocol (`run` is `try_run` plus a panic): ranks rendezvous with
 //! the coordinator, exchange version/endianness/capability-checked
 //! `Hello` frames (mismatches are rejected with a typed, actionable
 //! [`HandshakeError`]), and receive a world [`rendezvous::Roster`]

@@ -37,12 +37,12 @@
 //!   the launcher spawn fresh processes; they replay earlier epochs
 //!   in-process to reach the same program point, then dial in.
 //! * **Leave / death**: a rank dying mid-epoch poisons its peers'
-//!   mailboxes within milliseconds; under
-//!   [`SimWorld::try_run`](crate::SimWorld::try_run) the epoch aborts
-//!   with an [`EpochError`](crate::EpochError) instead of killing the
-//!   pool, the dead pool ids are broadcast, and the next epoch's
-//!   roster simply omits them. The session layer then carries on via
-//!   `Session::resize(p_new)`.
+//!   mailboxes within milliseconds; the epoch aborts with an
+//!   [`EpochError`](crate::EpochError) instead of killing the pool
+//!   ([`SimWorld::try_run`](crate::SimWorld::try_run) returns it;
+//!   `run` then tears the pool down and panics), the dead pool ids are
+//!   broadcast, and the next epoch's roster simply omits them. The
+//!   session layer then carries on via `Session::resize(p_new)`.
 //! * **Limitations** (documented, enforced): the coordinator (pool
 //!   id 0 / world rank 0) is not expendable — its death kills the
 //!   fleet; and the pool cannot *grow* after a death, because a fresh

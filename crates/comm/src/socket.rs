@@ -243,13 +243,13 @@ struct CtrlState {
     eofs: Vec<bool>,
     outcomes: Vec<Option<Vec<u8>>>,
     outcome_set: Option<Vec<u8>>,
-    /// Elastic epochs: rank 0's `Abort` broadcast payload (the dead
+    /// Rank 0's `Abort` broadcast payload (the dead
     /// pool ids, [`Roster`](crate::rendezvous::Roster)-encoded).
     abort: Option<Vec<u8>>,
     errors: VecDeque<(usize, String)>,
 }
 
-/// How an elastic epoch ended, from a member's point of view: the
+/// How an epoch ended, from a member's point of view: the
 /// normal [`FrameKind::OutcomeSet`] broadcast, or an [`FrameKind::Abort`]
 /// carrying the dead pool ids.
 #[derive(Debug)]
@@ -507,29 +507,17 @@ impl SocketBackend {
         })
     }
 
-    /// Members: wait for rank 0's `OutcomeSet` broadcast.
-    pub fn wait_outcome_set(&self, deadline: Instant) -> Result<Vec<u8>, String> {
-        self.wait_ctrl(deadline, "the outcome broadcast", |st| {
-            if let Some(set) = st.outcome_set.take() {
-                return Some(Ok(set));
-            }
-            if st.eofs[0] {
-                return Some(Err("rank 0 exited before broadcasting outcomes".to_string()));
-            }
-            None
-        })
-    }
-
     /// The first `Error` frame received, if any (the root cause the
     /// launcher re-panics with).
     pub fn first_error(&self) -> Option<(usize, String)> {
         self.ctrl.lock().errors.front().cloned()
     }
 
-    /// Elastic members: wait for rank 0's end-of-epoch verdict — the
-    /// normal `OutcomeSet` broadcast or an `Abort`. Unlike the
-    /// [`wait_ctrl`](Self::wait_outcome_set) family this deliberately
-    /// ignores queued `Error` frames: during an abort they are expected
+    /// Members: wait for rank 0's end-of-epoch verdict — the normal
+    /// `OutcomeSet` broadcast or an `Abort`. Unlike
+    /// [`wait_byes`](Self::wait_byes) and
+    /// [`wait_outcomes`](Self::wait_outcomes) this deliberately ignores
+    /// queued `Error` frames: during an abort they are expected
     /// traffic, and the verdict frame is the only authority on how the
     /// epoch ended.
     pub fn wait_verdict(&self, deadline: Instant) -> Result<EpochVerdict, String> {
@@ -560,17 +548,15 @@ impl SocketBackend {
     }
 
     /// Rank 0, elastic abort collection: which member world ranks have
-    /// checked in — an `Outcome`, an `Error`, or a closed stream all
-    /// count, because each proves the member is past (or out of) its
-    /// epoch body.
+    /// checked in with an `Outcome` or an `Error`, proving the member is
+    /// alive and past its epoch body. A closed stream does not count: a
+    /// dying member's socket closes before its exit status can be
+    /// observed, and only that status marks it dead.
     pub fn member_checkin(&self) -> Vec<bool> {
         let st = self.ctrl.lock();
         (0..self.nranks)
             .map(|r| {
-                r == self.me
-                    || st.outcomes[r].is_some()
-                    || st.eofs[r]
-                    || st.errors.iter().any(|(er, _)| *er == r)
+                r == self.me || st.outcomes[r].is_some() || st.errors.iter().any(|(er, _)| *er == r)
             })
             .collect()
     }
@@ -794,7 +780,10 @@ mod tests {
         let outs = b0.wait_outcomes(deadline).unwrap();
         assert_eq!(outs[1], vec![42]);
         b0.send_control(1, FrameKind::OutcomeSet, vec![9, 9]);
-        assert_eq!(b1.wait_outcome_set(deadline).unwrap(), vec![9, 9]);
+        match b1.wait_verdict(deadline).unwrap() {
+            EpochVerdict::Outcomes(set) => assert_eq!(set, vec![9, 9]),
+            EpochVerdict::Aborted(_) => panic!("expected the outcome broadcast"),
+        }
         b0.mark_finished();
         b1.mark_finished();
     }

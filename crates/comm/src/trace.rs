@@ -30,13 +30,14 @@
 //! | `comm` | `send.post` | instant | `Comm::send` / `send_nb` post |
 //! | `comm` | `recv.wait` | span | blocking `recv` and `RecvHandle::wait` (args carry `stall_s`) |
 //! | `comm` | `sendrecv` | span | `Comm::sendrecv` (blocking shifts) |
+//! | `comm` | `recv.abort` | instant | a receive that panicked (poisoned mailbox or watchdog) |
 //! | `comm` | `shift.post` | instant | `Comm::shift_begin` (non-blocking shift post) |
 //! | `comm` | `shift.wait` | span | `RecvHandle::wait` of a `shift_begin` (args carry `stall_s`) |
 //! | `shift` | `pipeline.post` / `pipeline.stage` | instant | `ShiftPipeline` input-lane begin (pipelined / blocking) |
 //! | `shift` | `pipeline.wait` / `pipeline.exchange` | span | `ShiftPipeline` lane completion |
 //! | `epoch` | `epoch.rendezvous` | span | socket rendezvous (launcher and members) |
 //! | `epoch` | [`SYNC_EVENT`] | instant | the per-epoch clock-alignment anchor |
-//! | `epoch` | `epoch.abort` | instant | elastic abort (`try_run` failure path) |
+//! | `epoch` | `epoch.abort` | instant | elastic abort (any failed epoch) |
 //! | `session` | `session.replan` / `session.migrate` / `session.resize` | span | `dsk-core`'s `Session` |
 //! | `tune` | `tune.measure` | span | `dsk-kernels`' microbench tuner |
 //! | `mark` | `trace.dropped` | instant | ring-buffer overflow notice |

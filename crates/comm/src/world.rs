@@ -25,9 +25,9 @@ pub struct RankOutcome<T> {
 /// [`SimWorld::with_recv_timeout`] are unaffected.
 pub const WATCHDOG_ENV_VAR: &str = "DSK_WATCHDOG_SECS";
 
-/// Marker prefix for the poison message the elastic runner injects when
+/// Marker prefix for the poison message an in-memory epoch injects when
 /// a rank dies: survivors that panic *because of* the abort carry it,
-/// so [`SimWorld::try_run`] can tell original failures from collateral.
+/// so the epoch can tell original failures from collateral.
 const ABORT_POISON_PREFIX: &str = "epoch aborted:";
 
 /// The watchdog duration for a world that did not set an explicit
@@ -76,6 +76,26 @@ impl std::fmt::Display for EpochError {
 }
 
 impl std::error::Error for EpochError {}
+
+/// How an epoch failed, as this process saw it: the [`EpochError`]
+/// every survivor shares, and the local root cause
+/// ([`SimWorld::run`]'s panic text, `rank N panicked: <msg>`).
+pub(crate) struct EpochFailure {
+    pub(crate) error: EpochError,
+    pub(crate) cause: String,
+}
+
+impl From<EpochError> for EpochFailure {
+    fn from(error: EpochError) -> Self {
+        EpochFailure {
+            cause: error.to_string(),
+            error,
+        }
+    }
+}
+
+/// What one epoch returns on this process.
+pub(crate) type EpochResult<T> = Result<Vec<RankOutcome<T>>, EpochFailure>;
 
 /// A simulated distributed-memory machine of `nranks` ranks.
 ///
@@ -152,65 +172,28 @@ impl SimWorld {
     /// distributed-memory machine a value that cannot be serialized
     /// cannot be observed across ranks.
     ///
+    /// This is [`try_run`](Self::try_run) with a panic on failure: the
+    /// epoch runs the same elastic protocol, so a rank that panics
+    /// unblocks its peers at once and the call fails in milliseconds,
+    /// not after the receive watchdog. Under the socket backend the
+    /// process pool is then torn down, so no worker outlives the panic.
+    ///
     /// # Panics
     ///
-    /// Propagates any rank's panic (annotated with the rank id), and
-    /// panics if messages were sent but never received.
+    /// Panics with the root cause, `rank N panicked: <msg>` naming the
+    /// rank that failed first, and panics if messages were sent but
+    /// never received.
     pub fn run<T, F>(&self, f: F) -> Vec<RankOutcome<T>>
     where
         T: crate::payload::WirePayload,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        if self.backend == BackendKind::Socket {
-            return crate::launch::run_socket_world(self, &f);
-        }
-        let backend = self
-            .backend
-            .build(self.nranks, self.recv_timeout, self.model);
-        let model = self.model;
-        let f = &f;
-        let mut outcomes: Vec<RankOutcome<T>> = Vec::with_capacity(self.nranks);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.nranks);
-            for rank in 0..self.nranks {
-                let backend = Arc::clone(&backend);
-                handles.push(scope.spawn(move || {
-                    crate::trace::install_and_sync(rank);
-                    let shared = RankShared::new();
-                    let mut comm = Comm::world(backend, model, Arc::clone(&shared), rank);
-                    let value = f(&mut comm);
-                    comm.finish();
-                    let stats = comm.stats_snapshot();
-                    (value, stats, crate::trace::drain())
-                }));
+        self.epoch(&f).unwrap_or_else(|failure| {
+            if self.backend == BackendKind::Socket {
+                crate::launch::kill_pool();
             }
-            let mut traces = Vec::with_capacity(self.nranks);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((value, stats, events)) => {
-                        traces.push(events);
-                        outcomes.push(RankOutcome { rank, value, stats });
-                    }
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| e.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>");
-                        panic!("rank {rank} panicked: {msg}");
-                    }
-                }
-            }
-            crate::trace::gather_epoch(traces);
-        });
-
-        let leaked = backend.pending_messages();
-        assert_eq!(
-            leaked, 0,
-            "{leaked} message(s) were sent but never received — protocol bug"
-        );
-        outcomes
+            panic!("{}", failure.cause)
+        })
     }
 
     /// Run `f` on every rank like [`run`](Self::run), but survive rank
@@ -241,14 +224,22 @@ impl SimWorld {
         T: crate::payload::WirePayload,
         F: Fn(&mut Comm) -> T + Sync,
     {
+        self.epoch(&f).map_err(|failure| failure.error)
+    }
+
+    /// One elastic epoch, the body of both [`run`](Self::run) and
+    /// [`try_run`](Self::try_run).
+    pub(crate) fn epoch<T>(&self, f: &(dyn Fn(&mut Comm) -> T + Sync)) -> EpochResult<T>
+    where
+        T: crate::payload::WirePayload,
+    {
         if self.backend == BackendKind::Socket {
-            return crate::launch::try_run_socket_world(self, &f);
+            return crate::launch::socket_epoch(self, f);
         }
         let backend = self
             .backend
             .build(self.nranks, self.recv_timeout, self.model);
         let model = self.model;
-        let f = &f;
         let mut results: Vec<Result<(T, RankStats), String>> = Vec::with_capacity(self.nranks);
 
         std::thread::scope(|scope| {
@@ -330,35 +321,39 @@ impl SimWorld {
         }
         // Original failures vs. collateral: a rank whose panic carries
         // the abort-poison marker only died *because* another did.
-        let mut dead = Vec::new();
-        let mut detail = String::new();
-        for (rank, r) in results.iter().enumerate() {
-            if let Err(msg) = r {
-                if !msg.starts_with(ABORT_POISON_PREFIX) {
-                    dead.push(rank);
-                    if detail.is_empty() {
-                        detail = format!("rank {rank} failed: {msg}");
-                    }
-                }
-            }
-        }
-        if dead.is_empty() {
-            // Every failure was collateral (e.g. a watchdog fired before
-            // the poison landed) — report the first message verbatim.
-            detail = results
+        let failed = || {
+            results
                 .iter()
-                .find_map(|r| r.as_ref().err().cloned())
-                .unwrap_or_default();
-        }
-        Err(EpochError {
-            epoch: 0,
-            dead,
-            detail,
+                .enumerate()
+                .filter_map(|(rank, r)| r.as_ref().err().map(|msg| (rank, msg)))
+        };
+        let dead: Vec<usize> = failed()
+            .filter(|(_, msg)| !msg.starts_with(ABORT_POISON_PREFIX))
+            .map(|(rank, _)| rank)
+            .collect();
+        let (rank, msg) = failed()
+            .find(|(rank, _)| dead.first().is_none_or(|d| d == rank))
+            .expect("a failed epoch has a failed rank");
+        // Every failure collateral (e.g. a watchdog fired before the
+        // poison landed): report the first message verbatim.
+        let detail = if dead.is_empty() {
+            msg.clone()
+        } else {
+            format!("rank {rank} failed: {msg}")
+        };
+        Err(EpochFailure {
+            cause: format!("rank {rank} panicked: {msg}"),
+            error: EpochError {
+                epoch: 0,
+                dead,
+                detail,
+            },
         })
     }
 }
 
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
+/// A caught panic's message (`<non-string panic>` for other payloads).
+pub(crate) fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
     e.downcast_ref::<String>()
         .map(String::as_str)
         .or_else(|| e.downcast_ref::<&str>().copied())
@@ -425,6 +420,24 @@ mod tests {
             if c.rank() == 1 {
                 panic!("boom");
             }
+        });
+    }
+
+    /// `run` fails fast on a peer's panic and names the rank that
+    /// failed: rank 0, blocked on a message rank 1 will never send, is
+    /// unblocked at once instead of waiting out its 30 s watchdog.
+    #[test]
+    #[should_panic(expected = "rank 1 panicked: boom")]
+    fn run_fails_fast_on_a_peer_panic_and_names_it() {
+        let w = SimWorld::new(2, MachineModel::bandwidth_only())
+            .backend(BackendKind::InProc)
+            .with_recv_timeout(Duration::from_secs(30));
+        let _ = w.run(|c| {
+            if c.rank() == 1 {
+                panic!("boom");
+            }
+            let v: Vec<f64> = c.recv(1, 0);
+            v
         });
     }
 
